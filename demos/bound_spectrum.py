@@ -1,7 +1,8 @@
 """Bound spectra for the two quantized families.
 
 Lists every bound level of an Hyp0 and an Hyp+ model, shows the window
-count law, and confirms one level by direct shooting on the radial ODE.
+count law, and confirms one level by an independent Sturm-Liouville
+eigensolve of the radial equation.
 
 Run:  python3 demos/bound_spectrum.py
 """
@@ -33,11 +34,11 @@ def main():
     h0 = make_model("h0", 0.8, 1.1)
     levels = show(h0, 3, 2)
 
-    # independent check: shoot the (2, 1) radial problem and compare
+    # independent check: solve the (2, 1) radial problem numerically and compare
     target = levels[(2, 1)]
     shot = shoot_eigenvalue(h0, 1, 2)
-    print(f"\nshooting for (n=2, m=1): E = {shot:.10f}")
-    print(f"closed form:             E = {target.E:.10f}")
+    print(f"\neigensolve for (n=2, m=1): E = {shot:.10f}")
+    print(f"closed form:               E = {target.E:.10f}")
     print(f"difference: {abs(shot - target.E):.2e}")
 
     hplus = make_model("hplus", 0.5, 7.75)

@@ -1,10 +1,12 @@
 """Bound spectra and radial eigenproblems for the Hyp0 and HypPlus wells.
 
 Closed-form spectra come from the linearizing quantum number
-J_tilde = 2n + |m| + 1.  Their independent check is a Numerov shooting
-solver on the Liouville normal form of each radial equation, with node
-counting and bisection; it never consults the closed forms.  Batched
-numpy powers the sweep so the whole grid of a criterion run stays cheap.
+J_tilde = 2n + |m| + 1.  Their independent check is a Sturm-Liouville
+eigensolve: each radial equation in flux form -(p y')' + V y = E w y on a
+cell-centred grid, a symmetric tridiagonal matrix whose eigenvalues LAPACK
+finds by bisection with Sturm counts (node counting in compiled code), and
+Richardson extrapolation in the grid step.  It never consults the closed
+forms.
 """
 
 import math
@@ -12,17 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceFailure, DomainError, NoBoundState
 from .models import check_chart
 from .specfun import jacobi, laguerre
-
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without the extra
-    _HAVE_NUMBA = False
 
 _QUANTUM_FAMILIES = ("h0", "hplus")
 
@@ -139,264 +135,147 @@ def effective_potential(model, m, chi):
     return (m**2 - 0.25 + 0.25 * s2) / (t2 * W) + twoV - curv
 
 
-# -- shooting solver ---------------------------------------------------------
+# -- flux-form eigensolve -----------------------------------------------------
 
-_EIG_CACHE = {}
-_SERIES_TERMS = 4
-
-
-def _liouville_base_weight(model, m, q):
-    """g(q, E) = base(q) - E * weight(q) for y'' = g y on the half line."""
-    if model.family == "h0":
-        base = (m**2 - 0.25) / q**2 + model.xi * q**2
-        weight = 2.0 + 2.0 * model.rho * q**2
-    else:
-        s2 = np.sinh(q) ** 2
-        c2 = 1.0 + s2
-        base = m**2 / s2 + (c2 - 2.0) / (4.0 * s2) + model.xi * s2 / c2
-        weight = 2.0 * (1.0 + model.rho * s2) / c2
-    return base, weight
+# Richardson pair for the second-order cell-centred scheme
+_H_COARSE = 0.004
+_H_FINE = 0.002
+# outer end of the radial domain: first try, and the longest tried (r for
+# h0, chi for hplus); sinh(chi)**3 stays finite up to the longest end
+_X_START = 10.0
+_X_MAX = 200.0
+# lowest eigenvalues solved so far per (model, |m|), oldest entry evicted first
+_LEVEL_CACHE_CAP = 64
+_LEVELS = {}
 
 
-def _series_ic_h0(model, m, E, r):
-    """Regular-solution series y = r^nu (1 + c1 r^2 + ...), vectorized in E."""
-    nu = abs(m) + 0.5
-    om2 = model.xi - 2.0 * model.rho * E
-    coeffs = [np.ones_like(E)]
-    for j in range(1, _SERIES_TERMS + 1):
-        den = (nu + 2 * j) * (nu + 2 * j - 1) - nu * (nu - 1)
-        prev2 = coeffs[j - 2] if j >= 2 else 0.0
-        coeffs.append((-2.0 * E * coeffs[j - 1] + om2 * prev2) / den)
-    total = np.zeros_like(E)
-    for j, cj in enumerate(coeffs):
-        total = total + cj * r ** (2 * j)
-    return r**nu * total
+def _flux_coefficients(model, m, x):
+    """p, V, w of -(p y')' + V y = E w y: the radial operator times its measure.
 
-
-def _series_ic_hplus(model, m, E, x):
-    nu = abs(m) + 0.5
-    g0 = -2.0 * E - m**2 / 3.0 + 1.0 / 3.0
-    g2 = 2.0 * E * (1.0 - model.rho) + m**2 / 15.0 + model.xi - 1.0 / 60.0
-    g4 = (
-        4.0 * E * (model.rho - 1.0) / 3.0
-        - 2.0 * m**2 / 189.0
-        - 2.0 * model.xi / 3.0
-        + 1.0 / 378.0
-    )
-    c1 = g0 / (4.0 * nu + 2.0)
-    c2 = (g0 * c1 + g2) / (8.0 * nu + 12.0)
-    c3 = (g0 * c2 + g2 * c1 + g4) / (12.0 * nu + 30.0)
-    return x**nu * (1.0 + c1 * x**2 + c2 * x**4 + c3 * x**6)
-
-
-def _initial_values(model, m, E, q0, q1):
-    if model.family == "h0":
-        return _series_ic_h0(model, m, E, q0), _series_ic_h0(model, m, E, q1)
-    return _series_ic_hplus(model, m, E, q0), _series_ic_hplus(model, m, E, q1)
-
-
-def _numerov_rows(a, c, y0, y1):
-    """Numpy row-vectorized Numerov recursion; the no-extras fallback."""
-    nodes = np.zeros(y0.shape, dtype=np.int64)
-    n_rows = a.shape[0]
-    for i in range(1, n_rows - 1):
-        y2 = (c[i] * y1 - a[i - 1] * y0) / a[i + 1]
-        nodes += (y2 * y1) < 0.0
-        y0 = y1
-        y1 = y2
-        if i % 128 == 0:
-            scale = np.maximum(np.abs(y0), np.abs(y1))
-            scale = np.where(scale > 0.0, scale, 1.0)
-            y0 = y0 / scale
-            y1 = y1 / scale
-    return nodes, y1
-
-
-def _numerov_scalar(a, c, y0, y1):  # pragma: no cover - jitted twin of _numerov_rows
-    n_rows, lanes = a.shape
-    nodes = np.zeros(lanes, dtype=np.int64)
-    y0 = y0.copy()
-    y1 = y1.copy()
-    for i in range(1, n_rows - 1):
-        for j in range(lanes):
-            y2 = (c[i, j] * y1[j] - a[i - 1, j] * y0[j]) / a[i + 1, j]
-            if y2 * y1[j] < 0.0:
-                nodes[j] += 1
-            y0[j] = y1[j]
-            y1[j] = y2
-        if i % 128 == 0:
-            for j in range(lanes):
-                scale = max(abs(y0[j]), abs(y1[j]))
-                if scale > 0.0:
-                    y0[j] /= scale
-                    y1[j] /= scale
-    return nodes, y1
-
-
-if _HAVE_NUMBA:
-    _numerov_kernel = _njit(_numerov_scalar)
-else:  # pragma: no cover
-    _numerov_kernel = _numerov_rows
-
-
-def _sweep(model, m, qgrid, h, E_vals):
-    """Numerov node counts and end values for a batch of trial energies.
-
-    The Friedrichs condition at the axis is imposed through the regular
-    series started at q = qgrid[0] (the series vanishes at the origin
-    like q^{|m|+1/2}, which is exactly the Friedrichs branch).
+    The same operator as in schrodinger_residual, multiplied by twice the
+    measure W r (h0) or W sinh(chi) / cosh(chi)^2 (hplus).  p vanishes on the
+    axis, which is what builds regularity into the cell-centred grid.
     """
-    E = np.atleast_1d(np.asarray(E_vals, dtype=float))
-    base, weight = _liouville_base_weight(model, m, qgrid)
-    g = base[:, None] - weight[:, None] * E[None, :]
-    a = 1.0 - (h * h / 12.0) * g
-    c = 12.0 - 10.0 * a
-    y0, y1 = _initial_values(model, m, E, qgrid[0], qgrid[1])
-    y0 = np.ascontiguousarray(np.broadcast_to(y0, E.shape), dtype=float)
-    y1 = np.ascontiguousarray(np.broadcast_to(y1, E.shape), dtype=float)
-    return _numerov_kernel(a, c, y0, y1)
+    if model.family == "h0":
+        return x, m**2 / x + model.xi * x**3, 2.0 * x * (1.0 + model.rho * x**2)
+    s = np.sinh(x)
+    c2 = 1.0 + s * s
+    return s, m**2 / s + model.xi * s**3 / c2, 2.0 * (1.0 + model.rho * s * s) * s / c2
 
 
-def _grid_h0(model, E_hi, delta_floor):
-    h = 0.002
-    r2 = 2.0 * E_hi / delta_floor + 70.0 / math.sqrt(delta_floor)
-    r_max = math.sqrt(r2)
-    n = int(r_max / h) + 2
-    return 0.05 + h * np.arange(n), h
+def _eigenvalues(model, m, x_max, h, **select):
+    """Selected eigenvalues of the flux form on a cell-centred grid over [0, x_max].
+
+    Cells [i h, (i + 1) h]; the flux through the axis face is p(0) = 0 and the
+    solution vanishes one cell beyond x_max.  Symmetrised by sqrt(w), the
+    matrix goes to LAPACK bisection with Sturm counts.
+    """
+    faces = h * np.arange(1, int(round(x_max / h)) + 1)
+    p = np.concatenate(([0.0], _flux_coefficients(model, m, faces)[0]))
+    _, V, w = _flux_coefficients(model, m, faces - 0.5 * h)
+    diag = ((p[:-1] + p[1:]) / h**2 + V) / w
+    off = -p[1:-1] / (h**2 * np.sqrt(w[:-1] * w[1:]))
+    return eigh_tridiagonal(diag, off, eigvals_only=True, **select)
 
 
-def _grid_hplus(model, delta_floor):
-    h = 0.002
-    x_max = min(8.0 + 24.0 / math.sqrt(delta_floor), 150.0)
-    n = int(x_max / h) + 2
-    return 0.05 + h * np.arange(n), h
+def _decay_length(model, E):
+    """Outer end that holds a level at E to well below 1e-10 (inf at or above the edge)."""
+    delta = _xi_eff(model) - 2.0 * model.rho * E
+    if delta <= 0.0:
+        return math.inf
+    sq = math.sqrt(delta)
+    if model.family == "h0":
+        # turning point r^2 = 2E/delta, then about e^-70 of Gaussian decay
+        return math.sqrt(2.0 * E / delta + 70.0 / sq)
+    # turning point, then the density decays as exp(-2 sqrt(delta) chi)
+    return 0.5 * math.log1p(8.0 * E / delta) + 18.0 / sq
 
 
 def _edge(model):
     return _xi_eff(model) / (2.0 * model.rho)
 
 
-def _bracket_and_refine(model, m, ks, qgrid, h, E_lo, E_hi):
-    """Locate eigenvalues for every k in ks by scan plus batched bisection."""
-    scan = np.linspace(E_lo, E_hi, 64)
-    counts, _ = _sweep(model, m, qgrid, h, scan)
-    found = {}
-    brackets = {}
-    for k in ks:
-        above = np.nonzero(counts >= k + 1)[0]
-        if above.size == 0:
-            continue
-        hi_idx = above[0]
-        if hi_idx == 0:
-            raise ConvergenceFailure(
-                f"scan floor already sees {counts[0]} nodes for m={m}"
-            )
-        brackets[k] = (scan[hi_idx - 1], scan[hi_idx])
-    for _ in range(7):
-        if not brackets:
+def _solve_levels(model, m, k):
+    """Lowest k+1 radial eigenvalues, the domain sized from the top one."""
+    x_max = _X_START
+    while True:
+        need = math.inf  # also when fewer cells than k + 1 hold no k-th level
+        if k < round(x_max / _H_COARSE):
+            coarse = _eigenvalues(model, m, x_max, _H_COARSE, select="i", select_range=(0, k))
+            need = _decay_length(model, coarse[-1])
+        if need <= 1.05 * x_max:  # the slack stops round-off in E forcing more passes
             break
-        probes = []
-        offsets = {}
-        for k, (lo, hi) in brackets.items():
-            offsets[k] = len(probes)
-            probes.extend(np.linspace(lo, hi, 18)[1:-1])
-        counts, _ = _sweep(model, m, qgrid, h, np.asarray(probes))
-        new_brackets = {}
-        for k, (lo, hi) in brackets.items():
-            sub = counts[offsets[k] : offsets[k] + 16]
-            pts = np.linspace(lo, hi, 18)
-            above = np.nonzero(sub >= k + 1)[0]
-            if above.size == 0:
-                new_brackets[k] = (pts[-2], hi)
-            else:
-                j = above[0]
-                new_brackets[k] = (pts[j] if j > 0 else lo, pts[j + 1])
-        brackets = new_brackets
-    for k, (lo, hi) in brackets.items():
-        found[k] = 0.5 * (lo + hi)
-    return found
-
-
-def shoot_eigenvalue(model, m, k):
-    """k-th radial eigenvalue for angular number m, by Numerov shooting.
-
-    Independent of the closed-form spectrum: node counts plus bisection on
-    a Liouville normal form, with the energy window pushed toward the well
-    edge adaptively when a level hides close to it.
-    """
-    _require_quantum(model)
-    m = int(m)
-    k = int(k)
-    if k < 0:
-        raise DomainError(f"need k >= 0, got {k}")
-    key = (model.family, model.rho, model.xi, abs(m))
-    cache = _EIG_CACHE.setdefault(key, {})
-    if k in cache:
-        return cache[k]
-
-    edge = _edge(model)
-    want = set(range(k + 1)) - set(cache)
-    delta_floor = 0.05 if model.family == "h0" else 0.5
-    found = {}
-    for _ in range(6):
-        E_hi = edge - delta_floor / (2.0 * model.rho)
-        if model.family == "h0":
-            qgrid, h = _grid_h0(model, E_hi, delta_floor)
-        else:
-            qgrid, h = _grid_hplus(model, delta_floor)
-        found = _bracket_and_refine(model, m, sorted(want), qgrid, h, 1e-9, E_hi)
-        if k in found:
-            break
-        delta_floor /= 4.0
-    else:
-        if model.family == "hplus":
+        if need == math.inf and model.family == "hplus" and count_bound_levels(model, m) <= k:
             raise NoBoundState(
                 f"no level k={k} for m={m}: the HypPlus well holds fewer states"
             )
-        raise ConvergenceFailure(
-            f"level k={k}, m={m} not isolated before the window edge"
-        )
-    cache.update(found)
-    if k not in cache:
-        raise ConvergenceFailure(f"bisection lost the bracket for k={k}, m={m}")
-    return cache[k]
+        if x_max >= _X_MAX:
+            raise ConvergenceFailure(
+                f"level k={k}, m={m} not settled on the longest domain {_X_MAX:g}"
+            )
+        x_max = min(_X_MAX, 2.0 * x_max if need == math.inf else need)
+    fine = _eigenvalues(model, m, x_max, _H_FINE, select="i", select_range=(0, k))
+    return tuple(float(E) for E in (4.0 * fine - coarse) / 3.0)
+
+
+def shoot_eigenvalue(model, m, k):
+    """k-th radial eigenvalue for angular number m, by a Sturm-Liouville eigensolve.
+
+    Independent of the closed-form spectrum: the flux form of the radial
+    equation on a cell-centred grid, LAPACK bisection with Sturm counts and
+    Richardson extrapolation in the grid step.  The outer end grows until it
+    covers the decay length of the solver's own k-th eigenvalue.
+    """
+    _require_quantum(model)
+    m = abs(int(m))
+    k = int(k)
+    if k < 0:
+        raise DomainError(f"need k >= 0, got {k}")
+    key = (model, m)
+    levels = _LEVELS.get(key, ())
+    if k >= len(levels):
+        levels = _solve_levels(model, m, k)
+        _LEVELS.pop(key, None)
+        _LEVELS[key] = levels
+        while len(_LEVELS) > _LEVEL_CACHE_CAP:
+            del _LEVELS[next(iter(_LEVELS))]
+    return levels[k]
 
 
 def count_bound_levels(model, m):
-    """Number of bound radial levels for angular number m, by node count.
+    """Number of bound radial levels for angular number m, by Sturm count.
 
-    Probes just below the well edge; independent of the closed-form count.
+    Eigenvalues below the well edge on the longest domain; independent of
+    the closed-form count.
     """
     _require_quantum(model)
     if model.family == "h0":
         raise DomainError("the Hyp0 well is infinitely deep; the count diverges")
-    edge = _edge(model)
-    probe = edge * (1.0 - 1e-6)
-    h = 0.004
-    qgrid = 0.05 + h * np.arange(int(35.0 / h))
-    counts, _ = _sweep(model, int(m), qgrid, h, np.array([probe]))
-    return int(counts[0])
+    probe = _edge(model) * (1.0 - 1e-6)
+    found = _eigenvalues(
+        model, abs(int(m)), _X_MAX, _H_COARSE, select="v", select_range=(0.0, probe)
+    )
+    return len(found)
 
 
 # -- radial problem descriptor and residuals --------------------------------
 
 @dataclass(frozen=True)
 class RadialProblem:
-    """Liouville normal form y'' = (base(q) - E weight(q)) y with axis BC."""
+    """Flux form -(p y')' + V y = E w y of a radial equation, with axis BC."""
 
     model: object
     m: int
     bc: str = "friedrichs"
 
-    def base(self, q):
-        return _liouville_base_weight(self.model, self.m, np.asarray(q, dtype=float))[0]
+    def p(self, x):
+        return _flux_coefficients(self.model, self.m, np.asarray(x, dtype=float))[0]
 
-    def weight(self, q):
-        return _liouville_base_weight(self.model, self.m, np.asarray(q, dtype=float))[1]
+    def V(self, x):
+        return _flux_coefficients(self.model, self.m, np.asarray(x, dtype=float))[1]
 
-    def g(self, q, E):
-        b, w = _liouville_base_weight(self.model, self.m, np.asarray(q, dtype=float))
-        return b - E * w
+    def w(self, x):
+        return _flux_coefficients(self.model, self.m, np.asarray(x, dtype=float))[2]
 
 
 def radial_problem(model, m, bc="friedrichs"):

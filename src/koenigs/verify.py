@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import trapezoid
 from scipy.optimize import brentq
 
 from . import actions as actions_mod
@@ -41,6 +42,11 @@ from .models import (
 )
 
 DEFAULT_SEED = 20260819
+
+
+def _gate(default, tol):
+    """A check's gate: a user tolerance may tighten the default, never loosen it."""
+    return default if tol is None else min(default, tol)
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,7 @@ def _flow_case(case, tol=1e-10):
 # -- models ------------------------------------------------------------------
 
 def _check_hamiltonian_from_metric(rng, tol):
-    gate = 1e-12 if tol is None else tol
+    gate = _gate(1e-12, tol)
     worst = 0.0
     for model in _VERIFY_MODELS.values():
         pts = _random_points(model, rng, 1000)
@@ -161,7 +167,7 @@ def _check_hamiltonian_from_metric(rng, tol):
 
 
 def _check_curvature_vs_brioschi(rng, tol):
-    gate = 1e-6 if tol is None else tol
+    gate = _gate(1e-6, tol)
     worst = 0.0
     for model in _VERIFY_MODELS.values():
         if model.family == "hminus":
@@ -177,7 +183,7 @@ def _check_curvature_vs_brioschi(rng, tol):
 
 
 def _check_embed_hyperboloid(rng, tol):
-    gate = 1e-12 if tol is None else tol
+    gate = _gate(1e-12, tol)
     worst = 0.0
     for fam in ("trig", "hplus", "affine"):
         model = _VERIFY_MODELS[fam]
@@ -190,7 +196,7 @@ def _check_embed_hyperboloid(rng, tol):
 
 
 def _check_generator_algebra(rng, tol):
-    gate = 1e-8 if tol is None else tol
+    gate = _gate(1e-8, tol)
     worst = 0.0
 
     def gfun(model, i):
@@ -236,7 +242,7 @@ def _check_hminus_blowup(rng, tol):
 
 def _check_conservation_brackets(rng, tol):
     # residuals are relative to max(1, |terms|), the module's reporting rule
-    gate = 1e-7 if tol is None else tol
+    gate = _gate(1e-7, tol)
     worst = 0.0
     for model in _VERIFY_MODELS.values():
         pts = _random_points(model, rng, 1000)
@@ -251,7 +257,7 @@ def _check_conservation_brackets(rng, tol):
 
 
 def _check_algebra_identities(rng, tol):
-    gate = 1e-11 if tol is None else tol
+    gate = _gate(1e-11, tol)
     bracket_gate = 1e-7
     worst_exact = 0.0
     worst_bracket = 0.0
@@ -278,7 +284,7 @@ def _check_algebra_identities(rng, tol):
 
 
 def _check_trig_eigen(rng, tol):
-    gate = 1e-7 if tol is None else tol
+    gate = _gate(1e-7, tol)
     model = _VERIFY_MODELS["trig"]
     pts = _random_points(model, rng, 60)
     worst = 0.0
@@ -295,7 +301,7 @@ def _check_trig_eigen(rng, tol):
 # -- geodesics ----------------------------------------------------------------
 
 def _check_turnings_vs_bisection(rng, tol):
-    gate = 1e-10 if tol is None else tol
+    gate = _gate(1e-10, tol)
     worst = 0.0
     checked = 0
     for case in REGIME_CASES:
@@ -355,7 +361,7 @@ def _max_curve_residual(regime, traj):
 
 
 def _check_flow_curve_residual(rng, tol):
-    gate = 1e-6 if tol is None else tol
+    gate = _gate(1e-6, tol)
     worst = 0.0
     for case, (model, regime, traj) in _flow_results().items():
         res = _max_curve_residual(regime, traj)
@@ -406,7 +412,7 @@ def _check_eccentricity_windows(rng, tol):
 
 
 def _check_trig_reflection(rng, tol):
-    gate = 1e-6 if tol is None else tol
+    gate = _gate(1e-6, tol)
     worst = 0.0
     for case, (model, regime, traj) in _flow_results().items():
         if case[0] != "trig":
@@ -433,7 +439,7 @@ def _affine_curve_y(regime, u):
 
 
 def _check_affine_s2_conservation(rng, tol):
-    gate = 1e-10 if tol is None else tol
+    gate = _gate(1e-10, tol)
     worst = 0.0
     for case in REGIME_CASES:
         if case[0] != "affine":
@@ -508,7 +514,7 @@ def _check_two_sided_residual(rng, tol):
     # every regime is retraced in reversed time (both momenta flipped at a
     # mid sample), so the same positions are visited on the opposite
     # radial-momentum branch
-    gate = 1e-6 if tol is None else tol
+    gate = _gate(1e-6, tol)
     worst = 0.0
     sided = 0
     for case, (model, regime, traj) in _flow_results().items():
@@ -552,7 +558,7 @@ def _check_turning_reflection(rng, tol):
 # -- actions ------------------------------------------------------------------
 
 def _check_degenerate_frequency(rng, tol):
-    gate = 1e-10 if tol is None else tol
+    gate = _gate(1e-10, tol)
     worst = 0.0
     for fam, rho, xi, L_pair, E in (
         ("h0", 0.8, 1.1, (0.3, 0.5), 0.55),
@@ -570,7 +576,7 @@ def _check_degenerate_frequency(rng, tol):
 
 
 def _check_actions_quadrature(rng, tol):
-    gate = 1e-8 if tol is None else tol
+    gate = _gate(1e-8, tol)
     worst = 0.0
     for fam, rho, xi, L in (("h0", 0.8, 1.1, 0.5), ("hplus", 2.0, 8.0, 1.0)):
         model = make_model(fam, rho, xi)
@@ -597,18 +603,19 @@ def _check_hplus_endpoint(rng, tol):
 # -- quantum ------------------------------------------------------------------
 
 def _check_spectrum_vs_shooting(rng, tol):
-    gate = 1e-6 if tol is None else tol
+    gate = _gate(1e-8, tol)
     worst = 0.0
     grids = [("h0", rho, xi) for rho in (0.5, 1.0, 2.0) for xi in (1.0, 3.0)]
     grids += [("hplus", 0.5, 7.75), ("hplus", 2.0, 31.75)]
     for fam, rho, xi in grids:
         model = make_model(fam, rho, xi)
-        for lv in quantum_mod.spectrum(model, 3, 3):
+        # highest n first: one solve per (model, |m|) returns every lower level
+        for lv in sorted(quantum_mod.spectrum(model, 3, 3), key=lambda lv: -lv.n):
             if lv.m < 0:
                 continue
             diff = abs(quantum_mod.shoot_eigenvalue(model, lv.m, lv.n) - lv.E)
             worst = max(worst, diff)
-    return worst < gate, f"max |closed - shot| {worst:.3e} over full grid (gate {gate:g})"
+    return worst < gate, f"max |closed - eigensolve| {worst:.3e} over full grid (gate {gate:g})"
 
 
 def _check_degeneracy(rng, tol):
@@ -659,7 +666,7 @@ def _check_count_law(rng, tol):
 
 
 def _check_classical_correspondence(rng, tol):
-    gate = 1e-12 if tol is None else tol
+    gate = _gate(1e-12, tol)
     worst = 0.0
     m0 = make_model("h0", 0.8, 1.1)
     for lv in quantum_mod.spectrum(m0, 3, 3):
@@ -684,8 +691,8 @@ def _check_norms_finite(rng, tol):
                 w = (1.0 + rho * np.sinh(q) ** 2) * np.sinh(q) / np.cosh(q) ** 2
             psi = quantum_mod._radial_wave(model, lv, q)
             dens = w * psi**2
-            total = float(np.trapz(dens, q))
-            tail = float(np.trapz(dens[-400:], q[-400:]))
+            total = float(trapezoid(dens, q))
+            tail = float(trapezoid(dens[-400:], q[-400:]))
             if not math.isfinite(total) or total <= 0.0:
                 return False, f"{fam} (n={lv.n}, m={lv.m}): bad norm {total}"
             if tail > 1e-6 * total:
@@ -696,7 +703,7 @@ def _check_norms_finite(rng, tol):
 # -- specfun ------------------------------------------------------------------
 
 def _check_off_diagonal(rng, tol):
-    gate = 1e-9 if tol is None else tol
+    gate = _gate(1e-9, tol)
     worst = 0.0
     for n, m in ((0, 1), (1, 0), (1, 1), (0, 2)):
         N = 2 * n + abs(m)
@@ -711,7 +718,7 @@ def _check_off_diagonal(rng, tol):
 
 
 def _check_conjugation(rng, tol):
-    gate = 1e-14 if tol is None else tol
+    gate = _gate(1e-14, tol)
     worst = 0.0
     for n in range(3):
         for m in range(1, 4):
@@ -723,7 +730,7 @@ def _check_conjugation(rng, tol):
 
 
 def _check_generating_function(rng, tol):
-    gate = 1e-10 if tol is None else tol
+    gate = _gate(1e-10, tol)
     worst = 0.0
     for n in range(4):
         for m in range(4):
@@ -746,7 +753,7 @@ def _check_generating_function(rng, tol):
 
 
 def _check_pointwise_resummation(rng, tol):
-    gate = 1e-9 if tol is None else tol
+    gate = _gate(1e-9, tol)
     worst = 0.0
     zeta = np.linspace(0.05, 9.0, 20)
     phi = np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False)
@@ -850,7 +857,11 @@ CHECKS = (
 
 
 def run_suite(suite="all", tol=None, seed=DEFAULT_SEED):
-    """Run the named slice of the registry; returns a list of CheckResult."""
+    """Run the named slice of the registry; returns a list of CheckResult.
+
+    tol, when given, tightens each numeric gate to min(gate, tol); it never
+    loosens one.
+    """
     results = []
     for name, func in CHECKS:
         if suite != "all" and not name.startswith(suite + "."):

@@ -116,11 +116,12 @@ def test_criterion_6_spectra_against_shooting():
     grids += [("hplus", 0.5, 7.75), ("hplus", 2.0, 31.75)]
     for family, rho, xi in grids:
         model = make_model(family, rho, xi)
-        for lv in spectrum(model, 3, 3):
+        # highest n first: one solve per (model, |m|) returns every lower level
+        for lv in sorted(spectrum(model, 3, 3), key=lambda lv: -lv.n):
             if lv.m < 0:
-                continue  # shooting sees |m| only
+                continue  # the radial problem sees |m| only
             shot = shoot_eigenvalue(model, lv.m, lv.n)
-            assert abs(shot - lv.E) < 1e-6, (family, rho, xi, lv.n, lv.m)
+            assert abs(shot - lv.E) < 1e-8, (family, rho, xi, lv.n, lv.m)
 
     single = make_model("hplus", 2.0, 3.75)
     levels = spectrum(single, 3, 3)

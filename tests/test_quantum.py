@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from koenigs.errors import ConvergenceFailure, DomainError, NoBoundState
+from koenigs import quantum
+from koenigs.errors import DomainError, NoBoundState
 from koenigs.models import Model, make_model
 from koenigs.quantum import (
     count_bound_levels,
@@ -72,8 +73,8 @@ def test_nonpositive_coupling_rejected():
 def test_shooting_matches_formula_spot():
     model = make_model("h0", 2.0, 3.0)
     levels = {(lv.n, lv.m): lv.E for lv in spectrum(model, 1, 1)}
-    assert shoot_eigenvalue(model, 0, 1) == pytest.approx(levels[(1, 0)], abs=1e-6)
-    assert shoot_eigenvalue(model, 1, 0) == pytest.approx(levels[(0, 1)], abs=1e-6)
+    assert shoot_eigenvalue(model, 0, 1) == pytest.approx(levels[(1, 0)], abs=1e-8)
+    assert shoot_eigenvalue(model, 1, 0) == pytest.approx(levels[(0, 1)], abs=1e-8)
 
 
 def test_shooting_matches_formula_hplus_spot():
@@ -82,8 +83,8 @@ def test_shooting_matches_formula_hplus_spot():
     model = make_model("hplus", 0.5, 7.75)
     levels = {(lv.n, lv.m): lv.E for lv in spectrum(model, 1, 1)}
     assert (1, 1) not in levels
-    assert shoot_eigenvalue(model, 0, 1) == pytest.approx(levels[(1, 0)], abs=1e-6)
-    assert shoot_eigenvalue(model, 1, 0) == pytest.approx(levels[(0, 1)], abs=1e-6)
+    assert shoot_eigenvalue(model, 0, 1) == pytest.approx(levels[(1, 0)], abs=1e-8)
+    assert shoot_eigenvalue(model, 1, 0) == pytest.approx(levels[(0, 1)], abs=1e-8)
 
 
 def test_count_bound_levels_matches_window():
@@ -102,8 +103,10 @@ def test_count_bound_levels_h0_rejected():
 
 def test_no_bound_state_beyond_window():
     model = make_model("hplus", 2.0, 3.75)
-    with pytest.raises((NoBoundState, ConvergenceFailure)):
+    with pytest.raises(NoBoundState):
         shoot_eigenvalue(model, 0, 1)  # J_tilde = 3 exceeds sqrt(2)
+    with pytest.raises(NoBoundState):
+        shoot_eigenvalue(model, 0, 10**6)  # more levels than any grid has cells
 
 
 def test_eigenfunction_nodes_and_angular_factor():
@@ -140,6 +143,47 @@ def test_radial_problem_validation(h0_model):
     assert prob.m == 1
     with pytest.raises(DomainError):
         radial_problem(h0_model, 0, bc="neumann")
+
+
+@pytest.mark.parametrize("family, rho, xi, n, m", [("h0", 0.8, 1.1, 1, 1), ("hplus", 0.5, 7.75, 1, 0)])
+def test_flux_coefficients_annihilate_closed_form_wave(family, rho, xi, n, m):
+    # -(p y')' + V y - E w y on the closed-form radial wave, by central differences
+    model = make_model(family, rho, xi)
+    lv = [l for l in spectrum(model, n, m) if (l.n, l.m) == (n, m)][0]
+    prob = radial_problem(model, m)
+    x = np.linspace(0.2, 4.0, 200)
+    h = 1e-4
+
+    def flux(u):
+        return prob.p(u) * (quantum._radial_wave(model, lv, u + h / 2)
+                            - quantum._radial_wave(model, lv, u - h / 2)) / h
+
+    y = quantum._radial_wave(model, lv, x)
+    div = (flux(x + h / 2) - flux(x - h / 2)) / h
+    res = -div + (prob.V(x) - lv.E * prob.w(x)) * y
+    scale = np.abs(div) + np.abs(prob.V(x) * y) + np.abs(lv.E * prob.w(x) * y)
+    assert np.max(np.abs(res)) < 1e-5 * np.max(scale)
+
+
+def test_level_cache_bounded_and_reused(monkeypatch):
+    solves = []
+    real = quantum._solve_levels
+
+    def counting(model, m, k):
+        solves.append((model, m, k))
+        return real(model, m, k)
+
+    monkeypatch.setattr(quantum, "_solve_levels", counting)
+    monkeypatch.setattr(quantum, "_LEVELS", {})
+    model = make_model("hplus", 2.0, 31.75)
+    high = shoot_eigenvalue(model, 0, 1)
+    low = shoot_eigenvalue(model, 0, 0)
+    assert shoot_eigenvalue(model, 0, 1) == high and low < high
+    assert len(solves) == 1
+    for i in range(quantum._LEVEL_CACHE_CAP + 5):
+        shoot_eigenvalue(make_model("hplus", 2.0, 31.75 + 0.01 * (i + 1)), 1, 0)
+        assert len(quantum._LEVELS) <= quantum._LEVEL_CACHE_CAP
+    assert (model, 0) not in quantum._LEVELS  # the oldest entry went first
 
 
 def test_residual_converges_quadratically():
