@@ -285,11 +285,11 @@ def _payload_verify(config):
     if not results:
         raise UsageError(f"--suite {config.suite} matches no checks")
     if config.format == "csv":
-        rows = [{"name": r.name, "status": r.status, "detail": r.detail.replace(",", ";")}
-                for r in results]
-        payload = _emit_csv(rows, ("name", "status", "detail"))
+        rows = [{"name": r.name, "status": r.status, "value": r.value, "gate": r.gate,
+                 "detail": r.detail.replace(",", ";")} for r in results]
+        payload = _emit_csv(rows, ("name", "status", "value", "gate", "detail"))
     else:
-        record = {r.name: r.status for r in results}
+        record = {r.name: {"status": r.status, "value": r.value, "gate": r.gate} for r in results}
         record["checks_total"] = len(results)
         record["checks_failed"] = sum(1 for r in results if r.status == "FAIL")
         payload = _emit_json(record)

@@ -14,8 +14,6 @@ the regime records the applied map.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError, NoGlobalStructure, NoMotion, OutOfDomain
 from .models import PhasePoint, kernel
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartError
-from .models import ANGLE_FAMILIES, PhasePoint, chart_margin, hamiltonian
+from .models import PhasePoint, chart_margin, hamiltonian
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,28 @@ def test_verify_subcommand_exit_zero(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
+def test_verify_payload_carries_value_and_gate(tmp_path, capsys):
+    target = tmp_path / "verify.json"
+    code, _, _ = run_cli(capsys, "verify", "--suite", "specfun", "--out", str(target))
+    assert code == 0
+    first = target.read_bytes()
+    row = json.loads(first)["specfun.off_diagonal_vanish"]
+    assert row["status"] == "PASS"
+    assert row["gate"] == 1e-9
+    assert 0.0 < row["value"] < row["gate"]
+    run_cli(capsys, "verify", "--suite", "specfun", "--out", str(target))
+    assert target.read_bytes() == first
+
+    table = tmp_path / "verify.csv"
+    code, _, _ = run_cli(capsys, "verify", "--suite", "specfun", "--format", "csv", "--out", str(table))
+    assert code == 0
+    header, *rows = table.read_text().splitlines()
+    assert header == "name,status,value,gate,detail"
+    cells = next(r.split(",") for r in rows if r.startswith("specfun.off_diagonal_vanish,"))
+    assert float(cells[2]) == pytest.approx(row["value"], rel=1e-11)
+    assert float(cells[3]) == 1e-9
+
+
 def test_verify_rejects_unknown_suite(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "nonexistent")
     assert code == 2

@@ -11,7 +11,7 @@ from koenigs.invariants import (
     second_integrals,
 )
 from koenigs.errors import ChartError
-from koenigs.models import PhasePoint, hamiltonian, make_model, make_point
+from koenigs.models import PhasePoint, make_model, make_point
 
 
 def test_trig_conserved_set_direct_substitution():

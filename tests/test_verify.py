@@ -1,12 +1,101 @@
-from koenigs.verify import run_suite
+"""The verification registry, one pytest line per row.
+
+`run_suite("all")` runs once per module; each row must PASS, except the
+third turning-point anchor, which must stay an expected failure.
+"""
+
+import pytest
+
+from koenigs import verify
+from koenigs.verify import CHECKS, run_suite
+
+ANCHOR = "acceptance.fig1_third_anchor"
+NAMES = [name for name, _, _ in CHECKS]
 
 
-def test_full_suite_has_no_failures():
-    results = run_suite("all")
-    assert [r for r in results if r.status == "FAIL"] == []
-    assert [r.name for r in results if r.status == "XFAIL"] == ["acceptance.fig1_third_anchor"]
+@pytest.fixture(scope="module")
+def results():
+    return {r.name: r for r in run_suite("all")}
 
 
-def test_tol_cannot_loosen_a_gate():
-    results = {r.name: r for r in run_suite("quantum", tol=1.0)}
-    assert "(gate 1e-08)" in results["quantum.spectrum_vs_shooting"].detail
+def test_registry_names_pinned():
+    assert NAMES == [
+        "models.hamiltonian_from_metric",
+        "models.curvature_closed_vs_brioschi",
+        "models.embed_hyperboloid",
+        "models.generator_algebra",
+        "models.hminus_curvature_blowup",
+        "invariants.conservation_brackets",
+        "invariants.algebra_identities",
+        "invariants.trig_eigen_structure",
+        "geodesics.turnings_vs_bisection",
+        "geodesics.flow_curve_residual",
+        "geodesics.eccentricity_windows",
+        "geodesics.trig_reflection_symmetry",
+        "geodesics.affine_integral_conservation",
+        "flow.drift_scales_with_tol",
+        "flow.regime_drift",
+        "flow.time_reversal",
+        "flow.curve_residual_two_sided",
+        "flow.turning_reflection",
+        "actions.degenerate_frequency",
+        "actions.quadrature_vs_closed",
+        "actions.energy_roundtrip",
+        "actions.hplus_endpoint_zero",
+        "quantum.spectrum_vs_shooting",
+        "quantum.degeneracy_via_j_tilde",
+        "quantum.hplus_count_law",
+        "quantum.classical_correspondence",
+        "quantum.norms_finite",
+        "specfun.off_diagonal_vanish",
+        "specfun.conjugation_symmetry",
+        "specfun.generating_function",
+        "specfun.pointwise_resummation",
+        "cli.deterministic_output",
+        ANCHOR,
+    ]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_registry_row(results, name):
+    result = results[name]
+    assert result.status == ("XFAIL" if name == ANCHOR else "PASS"), result.detail
+
+
+def test_full_suite_has_no_failures(results):
+    assert list(results) == NAMES
+    assert [r for r in results.values() if r.status == "FAIL"] == []
+    assert [name for name, r in results.items() if r.status == "XFAIL"] == [ANCHOR]
+
+
+def test_tol_cannot_loosen_a_gate(results):
+    loose = {r.name: r for r in run_suite(tol=1.0)}
+    for name, _, gate in CHECKS:
+        assert loose[name].gate == gate, name
+        assert (loose[name].status, loose[name].value) == (results[name].status, results[name].value)
+
+
+def test_tol_below_value_fails_the_row(results):
+    tol = 1e-300
+    tight = {r.name: r for r in run_suite(tol=tol)}
+    for name, _, gate in CHECKS:
+        if gate is None:
+            continue
+        assert tight[name].gate == tol, name
+        if results[name].value > tol:
+            assert tight[name].status == ("XFAIL" if name == ANCHOR else "FAIL"), name
+        else:
+            assert tight[name].status == "PASS", name
+
+
+@pytest.mark.parametrize("name", ["specfun.conjugation_symmetry", ANCHOR])
+def test_raising_check_is_reported_as_fail(monkeypatch, name):
+    def broken(rng):
+        raise ZeroDivisionError("injected")
+
+    rows = tuple((n, broken if n == name else check, gate) for n, check, gate in CHECKS)
+    monkeypatch.setattr(verify, "CHECKS", rows)
+    result = {r.name: r for r in run_suite(name.split(".")[0])}[name]
+    assert result.status == "FAIL"
+    assert result.detail.startswith("ZeroDivisionError")
+    assert result.value is None
