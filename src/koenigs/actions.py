@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 from .errors import DomainError, NotClosedRegime, NoMotion, QuadratureFailure
 from .geodesics import classify
-from .models import kernel
+from .models import FAMILY, kernel
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(160)
 
@@ -26,7 +26,7 @@ class ActionVars:
 
 
 def _require_closed(model, E, L):
-    if model.family not in ("h0", "hplus"):
+    if not FAMILY[model.family].closed:
         raise NotClosedRegime(f"family '{model.family}' has no closed bounded orbits")
     try:
         regime = classify(model, E, L)

@@ -440,6 +440,8 @@ def main(argv=None):
             print(path)
         return 0
 
+    if config.format and not config.out:
+        lines = None  # an explicit --format puts the payload, not the text lines, on stdout
     if lines is not None:
         for line in lines:
             print(line)

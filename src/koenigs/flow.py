@@ -5,6 +5,12 @@ Hamilton's equations close over the kernel coefficients:
     dq1/dt = a(q1) p1          dp1/dt = -(a' p1^2 + b' p2^2 + c')/2
     dq2/dt = b(q1) p2          dp2/dt = 0
 
+The derivatives a', b', c' come from one complex-step evaluation of the
+kernel, Im kernel(q1 + ih) / h with h = 1e-30 (Squire & Trapp, SIAM Rev. 40,
+1998): exact to rounding, with no difference taken and no hand-derived
+formula.  So `models.kernel` must stay analytic in q1: no abs, maximum,
+comparisons or branches on q1.
+
 Integration is adaptive explicit Runge-Kutta (DOP853).  It is not
 symplectic on purpose: runs are short and the four conserved quantities
 give a sharper correctness signal than long-time energy behavior would.
@@ -19,11 +25,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import BoundaryReached, NotBounded, StepFailure
-from .models import PhasePoint, check_chart, kernel, kernel_prime
+from .models import FAMILY, PhasePoint, check_chart, kernel
 from .invariants import conserved_set
 from .geodesics import classify
 
 _EDGE = 1e-9
+_STEP = 1e-30
 
 
 @dataclass(frozen=True)
@@ -50,30 +57,21 @@ class Trajectory:
 def _rhs(model):
     def f(t, z):
         q1, q2, p1, p2 = z
-        a, b, _ = kernel(model, q1)
-        ap, bp, cp = kernel_prime(model, q1)
-        return (a * p1, b * p2,
-                -0.5 * (ap * p1**2 + bp * p2**2 + cp), 0.0)
+        a, b, c = kernel(model, complex(q1, _STEP))
+        return (a.real * p1, b.real * p2,
+                -0.5 * (a.imag * p1**2 + b.imag * p2**2 + c.imag) / _STEP, 0.0)
     return f
 
 
 def _edge_events(model):
-    events = []
-    fam = model.family
-
-    def make(fn):
+    """Terminal events 1e-9 inside each finite edge of the chart."""
+    lo, hi = FAMILY[model.family].chart(model.rho)
+    events = [lambda t, z: z[0] - (lo + _EDGE)]
+    if hi < math.inf:
+        events.append(lambda t, z: (hi - _EDGE) - z[0])
+    for fn in events:
         fn.terminal = True
         fn.direction = -1.0
-        return fn
-
-    if fam == "trig":
-        events.append(make(lambda t, z: z[0] - _EDGE))
-        events.append(make(lambda t, z: (math.pi - _EDGE) - z[0]))
-    elif fam in ("h0", "hplus", "affine"):
-        events.append(make(lambda t, z: z[0] - _EDGE))
-    else:  # hminus
-        rho = model.rho
-        events.append(make(lambda t, z: math.sinh(z[0]) + rho - _EDGE))
     return events
 
 

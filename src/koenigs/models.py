@@ -2,11 +2,16 @@
 
 Five families live here, keyed by short chart names:
 
-    trig    -- (x, y) in (0, pi) x R,        rho in (0, 1)
-    h0      -- (r, phi) in (0, inf) x S^1,   rho > 0
-    hplus   -- (chi, phi) in (0, inf) x S^1, rho in (0,1) u (1,inf)
-    hminus  -- (x, y) local chart,           sinh x + rho > 0
-    affine  -- (u, y) in (0, inf) x R,       rho > 0
+    trig    -- (x, y) in (0, pi) x R,                rho in (0, 1)
+    h0      -- (r, phi) in (0, inf) x S^1,           rho > 0
+    hplus   -- (chi, phi) in (0, inf) x S^1,         rho in (0,1) u (1,inf)
+    hminus  -- (x, y) in (asinh(-rho), inf) x R,     any real rho
+    affine  -- (u, y) in (0, inf) x R,               rho > 0
+
+`FAMILY` is the one place for each family's parameter domain, chart and
+capabilities; validation, chart checks, the flow's edge events and the
+closed-orbit and quantum entry points all read it.  Per-family formulas
+(kernel, curvature, embedding, generators) stay as one chain each.
 
 Every Hamiltonian has the shape H = (a(q1) p1^2 + b(q1) p2^2 + c(q1)) / 2,
 so the metric is diag(1/a, 1/b) and the potential is c/2.  All coordinate
@@ -20,12 +25,34 @@ import numpy as np
 
 from .errors import ChartError, ConstantCurvature, DomainError, NoGlobalStructure
 
-FAMILIES = ("trig", "h0", "hplus", "hminus", "affine")
-
-# families whose second coordinate is an angle on [0, 2*pi)
-ANGLE_FAMILIES = ("h0", "hplus")
-
 _EDGE_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class Family:
+    """Parameter domain, chart and capabilities of one family."""
+
+    rho: tuple                  # admissible open rho interval (lo, hi)
+    constant_curvature: tuple   # rho values where the metric degenerates
+    chart: object               # rho -> open q1 interval (lo, hi)
+    angle: bool = False         # q2 is an angle on [0, 2*pi)
+    closed: bool = False        # closed bounded orbits, actions and spectra
+
+
+def _half_line(rho):
+    return 0.0, math.inf
+
+
+FAMILY = {
+    "trig": Family((0.0, 1.0), (0.0, 1.0, -1.0), lambda rho: (0.0, math.pi)),
+    "h0": Family((0.0, math.inf), (0.0,), _half_line, angle=True, closed=True),
+    "hplus": Family((0.0, math.inf), (1.0,), _half_line, angle=True, closed=True),
+    # sinh x + rho > 0
+    "hminus": Family((-math.inf, math.inf), (), lambda rho: (math.asinh(-rho), math.inf)),
+    "affine": Family((0.0, math.inf), (0.0,), _half_line),
+}
+
+FAMILIES = tuple(FAMILY)
 
 
 @dataclass(frozen=True)
@@ -53,31 +80,16 @@ def validate_model(family, rho, xi):
     constant-curvature degeneration.
     """
     fam, rho, xi = family, float(rho), float(xi)
-    if fam not in FAMILIES:
+    if fam not in FAMILY:
         raise DomainError(f"unknown family {fam!r}, expected one of {FAMILIES}")
     if not np.isfinite(rho) or not np.isfinite(xi):
         raise DomainError("rho and xi must be finite")
-    if fam == "trig":
-        if rho in (0.0, 1.0, -1.0):
-            raise ConstantCurvature(f"trig family degenerates at rho={rho}")
-        if not 0.0 < rho < 1.0:
-            raise DomainError(f"trig family needs rho in (0, 1), got {rho}")
-    elif fam == "h0":
-        if rho == 0.0:
-            raise ConstantCurvature("h0 family is flat at rho=0")
-        if rho < 0.0:
-            raise DomainError(f"h0 family needs rho > 0, got {rho}")
-    elif fam == "hplus":
-        if rho == 1.0:
-            raise ConstantCurvature("hplus family degenerates at rho=1")
-        if rho <= 0.0:
-            raise DomainError(f"hplus family needs rho > 0, got {rho}")
-    elif fam == "affine":
-        if rho == 0.0:
-            raise ConstantCurvature("affine family is constant-curvature at rho=0")
-        if rho < 0.0:
-            raise DomainError(f"affine family needs rho > 0, got {rho}")
-    # hminus: any real rho; the chart condition sinh(x) + rho > 0 is pointwise
+    spec = FAMILY[fam]
+    if rho in spec.constant_curvature:
+        raise ConstantCurvature(f"{fam} family has constant curvature at rho={rho}")
+    lo, hi = spec.rho
+    if not lo < rho < hi:
+        raise DomainError(f"{fam} family needs rho in ({lo:g}, {hi:g}), got {rho}")
     return Model(fam, rho, xi)
 
 
@@ -86,41 +98,25 @@ def make_model(family, rho, xi):
 
 
 def chart_margin(model, q1):
-    """Distance from q1 to the nearest chart boundary (inf if none)."""
-    fam = model.family
-    if fam == "trig":
-        return min(q1, math.pi - q1)
-    if fam in ("h0", "hplus", "affine"):
-        return q1
-    # hminus: boundary where sinh x + rho = 0
-    s = math.sinh(q1) + model.rho
-    if s <= 0:
-        return -abs(s)
-    return s / math.cosh(q1)  # first-order distance in x
+    """Distance from q1 to the nearest chart edge (inf if none, negative outside)."""
+    lo, hi = FAMILY[model.family].chart(model.rho)
+    return min(q1 - lo, hi - q1)
 
 
 def check_chart(model, q1):
     """Raise if q1 is outside the chart or within 1e-12 of its edge."""
-    fam = model.family
-    if fam == "trig":
-        if not 0.0 < q1 < math.pi:
-            raise ChartError(f"trig chart needs x in (0, pi), got {q1}")
-    elif fam in ("h0", "hplus", "affine"):
-        if q1 <= 0.0:
-            raise ChartError(f"{fam} chart needs q1 > 0, got {q1}")
-    else:
-        if math.sinh(q1) + model.rho <= 0.0:
-            raise ChartError(
-                f"hminus chart needs sinh(x) + rho > 0, got x={q1}, rho={model.rho}"
-            )
-    if chart_margin(model, q1) < _EDGE_TOL:
-        raise ChartError(f"q1={q1} is within {_EDGE_TOL} of a chart boundary")
+    if not chart_margin(model, q1) >= _EDGE_TOL:
+        lo, hi = FAMILY[model.family].chart(model.rho)
+        raise ChartError(
+            f"{model.family} chart needs q1 in ({lo:g}, {hi:g}), at least "
+            f"{_EDGE_TOL:g} from its edges, got {q1}"
+        )
 
 
 def make_point(model, q1, q2, p1, p2):
     """Validated phase point; angle charts get q2 reduced mod 2*pi."""
     check_chart(model, q1)
-    if model.family in ANGLE_FAMILIES:
+    if FAMILY[model.family].angle:
         q2 = q2 % (2.0 * math.pi)
     return PhasePoint(float(q1), float(q2), float(p1), float(p2))
 
@@ -149,46 +145,6 @@ def kernel(model, q1):
     if fam == "affine":
         W = 1.0 + rho * q1**2
         return q1**2 / W, q1**2 / W, xi / W
-    raise DomainError(f"unknown family {fam!r}")
-
-
-def kernel_prime(model, q1):
-    """d/dq1 of the kernel coefficients, in closed form."""
-    rho, xi = model.rho, model.xi
-    fam = model.family
-    if fam == "trig":
-        s, c = np.sin(q1), np.cos(q1)
-        W = 1.0 - rho * c
-        ap = s * (2.0 * c * W - rho * s**2) / W**2
-        cp = -xi * rho * s / W**2
-        return ap, ap, cp
-    if fam == "h0":
-        r = q1
-        W = 1.0 + rho * r**2
-        ap = -2.0 * rho * r / W**2
-        bp = -2.0 * (W + rho * r**2) / (r**3 * W**2)
-        cp = 2.0 * xi * r / W**2
-        return ap, bp, cp
-    if fam == "hplus":
-        s, c = np.sinh(q1), np.cosh(q1)
-        W = 1.0 + rho * s**2
-        s2x = 2.0 * s * c
-        ap = (1.0 - rho) * s2x / W**2
-        bp = -2.0 * c * s * (W + rho * c**2 * s**2) / (W**2 * s**4)
-        cp = xi * s2x / W**2
-        return ap, bp, cp
-    if fam == "hminus":
-        s, c = np.sinh(q1), np.cosh(q1)
-        S = s + rho
-        ap = c * (2.0 * s * S - c**2) / S**2
-        cp = -xi * c / S**2
-        return ap, ap, cp
-    if fam == "affine":
-        u = q1
-        W = 1.0 + rho * u**2
-        ap = 2.0 * u / W**2
-        cp = -2.0 * xi * rho * u / W**2
-        return ap, ap, cp
     raise DomainError(f"unknown family {fam!r}")
 
 

@@ -17,10 +17,8 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceFailure, DomainError, NoBoundState
-from .models import check_chart
+from .models import FAMILY, check_chart
 from .specfun import jacobi, laguerre
-
-_QUANTUM_FAMILIES = ("h0", "hplus")
 
 
 @dataclass(frozen=True)
@@ -32,7 +30,7 @@ class Level:
 
 
 def _require_quantum(model):
-    if model.family not in _QUANTUM_FAMILIES:
+    if not FAMILY[model.family].closed:
         raise DomainError(f"family '{model.family}' has no discrete spectrum here")
     if model.xi <= 0.0:
         raise DomainError(f"need a confining coupling xi > 0, got xi={model.xi}")
@@ -83,22 +81,10 @@ def eigenfunction(model, level, position):
     _require_quantum(model)
     q1, q2 = position
     check_chart(model, q1)
-    n, m, E = level.n, level.m, level.E
-    mm = abs(m)
-    if model.family == "h0":
-        delta = _xi_eff(model) - 2.0 * model.rho * E
-        if delta <= 0.0:
-            raise DomainError(f"level E={E} lies outside the bound window")
-        zeta = math.sqrt(delta) * q1**2
-        radial = math.exp(-zeta / 2.0) * zeta ** (mm / 2.0) * laguerre(n, mm, zeta)
-    else:
-        delta = _xi_eff(model) - 2.0 * model.rho * E
-        if delta <= 0.0:
-            raise DomainError(f"level E={E} lies outside the bound window")
-        sq = math.sqrt(delta)
-        t, c = math.tanh(q1), math.cosh(q1)
-        radial = t**mm * c ** (-0.5 - sq) * jacobi(n, mm, sq, 1.0 - 2.0 * t**2)
-    return radial * complex(math.cos(m * q2), math.sin(m * q2))
+    if _xi_eff(model) - 2.0 * model.rho * level.E <= 0.0:
+        raise DomainError(f"level E={level.E} lies outside the bound window")
+    m = level.m
+    return float(_radial_wave(model, level, q1)) * complex(math.cos(m * q2), math.sin(m * q2))
 
 
 def q_coordinate(model, chi):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -64,6 +66,20 @@ def test_verify_payload_carries_value_and_gate(tmp_path, capsys):
     cells = next(r.split(",") for r in rows if r.startswith("specfun.off_diagonal_vanish,"))
     assert float(cells[2]) == pytest.approx(row["value"], rel=1e-11)
     assert float(cells[3]) == 1e-9
+
+
+def test_verify_format_without_out_prints_payload(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "specfun", "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["checks_total"] == 4
+    assert record["specfun.off_diagonal_vanish"]["status"] == "PASS"
+
+    code, out, _ = run_cli(capsys, "verify", "--suite", "specfun", "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert {r["name"] for r in rows} == {n for n in record if n.startswith("specfun.")}
+    assert all(r["status"] == "PASS" for r in rows)
 
 
 def test_verify_rejects_unknown_suite(capsys):

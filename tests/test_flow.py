@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from koenigs.errors import BoundaryReached, NotBounded
-from koenigs.flow import closure_test, drift_report, integrate
+from koenigs.flow import _rhs, closure_test, drift_report, integrate
 from koenigs.geodesics import classify, curve_residual, start_point
-from koenigs.models import PhasePoint, make_model
+from koenigs.models import FAMILIES, PhasePoint, hamiltonian, make_model, make_point
+from koenigs.verify import _VERIFY_MODELS, _random_points
 
 
 def test_drift_small_on_long_bounded_run(h0_model):
@@ -47,6 +48,46 @@ def test_boundary_event_carries_partial_trajectory():
     assert reached.trajectory is not None
     assert 0.0 < reached.t <= 50.0
     assert reached.point is not None
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_rhs_matches_central_differences_of_hamiltonian(family):
+    # the complex-step derivatives of the kernel against a plain
+    # central difference of H: -dH/dq1, dH/dp1, dH/dp2
+    model = _VERIFY_MODELS[family]
+    pts = _random_points(model, np.random.default_rng(11), 100)
+    f = _rhs(model)
+    for q1, q2, p1, p2 in zip(pts.q1, pts.q2, pts.p1, pts.p2):
+        dq1, dq2, dp1, _ = f(0.0, (q1, q2, p1, p2))
+
+        def dH(i):
+            z = [q1, q2, p1, p2]
+            h = 1e-5 * max(1.0, abs(z[i]))
+            z[i] += h
+            up = hamiltonian(model, PhasePoint(*z))
+            z[i] -= 2.0 * h
+            return (up - hamiltonian(model, PhasePoint(*z))) / (2.0 * h)
+
+        for got, want in ((dp1, -dH(0)), (dq1, dH(2)), (dq2, dH(3))):
+            assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (q1, got, want)
+
+
+def test_hminus_edge_stops_the_run():
+    # a radial geodesic (xi = 0) reaches the edge sinh(x) + rho = 0
+    model = make_model("hminus", 0.6, 0.0)
+    start = make_point(model, 0.5, 0.0, -3.0, 0.0)
+    with pytest.raises(BoundaryReached) as excinfo:
+        integrate(model, start, 20.0, tol=1e-10)
+    assert abs(excinfo.value.point.q1 - math.asinh(-0.6)) < 1e-6
+
+
+def test_trig_orbit_reaches_the_pi_edge(trig_model):
+    # x reaches pi - 1e-9 at t = 12.7; a short span keeps a missing event
+    # from stepping on towards the edge for long
+    start = make_point(trig_model, 0.5 * math.pi, 0.0, 2.0, 0.0)
+    with pytest.raises(BoundaryReached) as excinfo:
+        integrate(trig_model, start, 14.0, tol=1e-10)
+    assert abs(excinfo.value.point.q1 - math.pi) < 1e-6
 
 
 def test_time_reversal_returns_to_start(hplus_model):

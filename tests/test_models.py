@@ -6,8 +6,10 @@ import pytest
 from koenigs.errors import ChartError, ConstantCurvature, DomainError, NoGlobalStructure
 from koenigs.models import (
     FAMILIES,
+    FAMILY,
     PhasePoint,
     brioschi_curvature,
+    check_chart,
     embed,
     generators,
     hamiltonian,
@@ -18,10 +20,41 @@ from koenigs.models import (
     scalar_curvature,
     validate_model,
 )
+from koenigs.verify import _VERIFY_MODELS
 
 
 def test_families_tuple():
     assert FAMILIES == ("trig", "h0", "hplus", "hminus", "affine")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_chart_interval_edges(family):
+    model = _VERIFY_MODELS[family]
+    lo, hi = FAMILY[family].chart(model.rho)
+    outside = [lo, lo + 1e-13] + ([hi] if hi < math.inf else [])
+    for q1 in outside:
+        with pytest.raises(ChartError):
+            check_chart(model, q1)
+    check_chart(model, 0.5 * (lo + hi) if hi < math.inf else lo + 1.0)
+
+
+def test_only_polar_charts_reduce_the_angle():
+    reduced = set()
+    for family, model in _VERIFY_MODELS.items():
+        lo, _ = FAMILY[family].chart(model.rho)
+        q2 = make_point(model, lo + 1.0, 7.0, 0.0, 0.0).q2
+        if q2 != 7.0:
+            assert q2 == pytest.approx(7.0 - 2.0 * math.pi, abs=1e-15)
+            reduced.add(family)
+    assert reduced == {"h0", "hplus"}
+
+
+def test_hminus_chart_is_where_sinh_plus_rho_is_positive():
+    for rho in (-2.0, 0.0, 0.6, 3.0):
+        lo, hi = FAMILY["hminus"].chart(rho)
+        assert hi == math.inf
+        assert math.sinh(lo) + rho == pytest.approx(0.0, abs=1e-14)
+        assert math.sinh(lo + 1e-6) + rho > 0.0
 
 
 @pytest.mark.parametrize(
