@@ -15,7 +15,11 @@ Integration is adaptive explicit Runge-Kutta (DOP853).  It is not
 symplectic on purpose: runs are short and the four conserved quantities
 give a sharper correctness signal than long-time energy behavior would.
 Chart edges terminate the run with BoundaryReached; radial turning points
-are passed through naturally in phase space.
+are passed through naturally in phase space.  Where the flow runs into an
+edge faster than the step control can follow (hminus, where dq1/dt grows
+like 1/(sinh q1 + rho)), a solver failure within 1e-6 of the edge, or an
+event point that lands beyond it, is also BoundaryReached, at the latest
+state inside the chart.
 """
 
 import math
@@ -25,12 +29,14 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import BoundaryReached, NotBounded, StepFailure
-from .models import FAMILY, PhasePoint, check_chart, kernel
+from .models import FAMILY, PhasePoint, chart_margin, check_chart, kernel
 from .invariants import conserved_set
 from .geodesics import classify
 
 _EDGE = 1e-9
 _STEP = 1e-30
+# a solver failure this close to a chart edge is the run reaching it
+_NEAR_EDGE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,7 @@ class Trajectory:
     model: object
     t: np.ndarray          # strictly increasing sample times
     states: np.ndarray     # shape (len(t), 4): q1, q2, p1, p2
+    nfev: int = 0          # right-hand side evaluations the solver made
 
     @property
     def samples(self):
@@ -63,15 +70,28 @@ def _rhs(model):
     return f
 
 
-def _edge_events(model):
-    """Terminal events 1e-9 inside each finite edge of the chart."""
+def _edge_events(model, inside):
+    """Terminal events 1e-9 inside each finite edge of the chart.
+
+    solve_ivp evaluates the events at every accepted step and in its root
+    search, so they also keep in `inside` the latest (t, z) they saw
+    inside the chart.
+    """
     lo, hi = FAMILY[model.family].chart(model.rho)
-    events = [lambda t, z: z[0] - (lo + _EDGE)]
+
+    def watching(gap):
+        def event(t, z):
+            if lo < z[0] < hi:
+                inside[:] = t, z
+            return gap(z[0])
+
+        event.terminal = True
+        event.direction = -1.0
+        return event
+
+    events = [watching(lambda q1: q1 - (lo + _EDGE))]
     if hi < math.inf:
-        events.append(lambda t, z: (hi - _EDGE) - z[0])
-    for fn in events:
-        fn.terminal = True
-        fn.direction = -1.0
+        events.append(watching(lambda q1: (hi - _EDGE) - q1))
     return events
 
 
@@ -80,21 +100,25 @@ def _solve(model, initial, t_end, tol, samples, events):
     if tol <= 0:
         raise StepFailure("integration tolerance must be positive")
     y0 = (initial.q1, initial.q2, initial.p1, initial.p2)
-    edge = _edge_events(model)
+    inside = [0.0, y0]
+    edge = _edge_events(model, inside)
     t_eval = np.linspace(0.0, t_end, samples) if samples else None
     sol = solve_ivp(
         _rhs(model), (0.0, t_end), y0, method="DOP853",
         rtol=tol, atol=tol, t_eval=t_eval, events=edge + list(events or ()),
         dense_output=False,
     )
-    if sol.status == -1:
-        raise StepFailure(f"integrator failed: {sol.message}")
     # solve_ivp leaves t/y as empty lists when a terminal event fires
     # before the first requested sample
     ts = np.asarray(sol.t, dtype=float)
     ys = np.asarray(sol.y, dtype=float)
     if ys.size == 0:
         ys = ys.reshape(4, 0)
+    traj = Trajectory(model, ts.copy(), ys.T.copy(), int(sol.nfev))
+    if sol.status == -1:
+        if chart_margin(model, inside[1][0]) < _NEAR_EDGE:
+            raise BoundaryReached(inside[0], PhasePoint(*inside[1]), traj)
+        raise StepFailure(f"integrator failed: {sol.message}")
     if sol.status == 1:
         edge_hits = [te for te in sol.t_events[: len(edge)] if len(te)]
         if edge_hits:
@@ -104,9 +128,10 @@ def _solve(model, initial, t_end, tol, samples, events):
                 if len(te) and te[0] == t_hit
             )
             z = sol.y_events[idx][0]
-            partial = Trajectory(model, ts.copy(), ys.T.copy())
-            raise BoundaryReached(t_hit, PhasePoint(*z), partial)
-    return Trajectory(model, ts.copy(), ys.T.copy()), sol
+            if not chart_margin(model, z[0]) > 0.0:
+                t_hit, z = inside
+            raise BoundaryReached(t_hit, PhasePoint(*z), traj)
+    return traj, sol
 
 
 def integrate(model, initial, t_end, tol=1e-10, samples=400):
@@ -115,8 +140,10 @@ def integrate(model, initial, t_end, tol=1e-10, samples=400):
     tol is both the relative and absolute integrator tolerance, so the
     per-step error stays at or below it.  The run raises BoundaryReached
     (with the partial trajectory attached) if a chart edge is approached
-    within 1e-9, and StepFailure if the solver gives up.  `samples` fixes
-    the output grid; samples=0 returns the solver's own accepted steps.
+    within 1e-9, or if the solver gives up within 1e-6 of one, and
+    StepFailure if it gives up elsewhere.  `samples` fixes the output grid;
+    samples=0 returns the solver's own accepted steps.  The trajectory's
+    `nfev` counts the right-hand side evaluations.
     """
     traj, _ = _solve(model, initial, t_end, tol, samples, None)
     return traj

@@ -6,7 +6,9 @@ eigensolve: each radial equation in flux form -(p y')' + V y = E w y on a
 cell-centred grid, a symmetric tridiagonal matrix whose eigenvalues LAPACK
 finds by bisection with Sturm counts (node counting in compiled code), and
 Richardson extrapolation in the grid step.  It never consults the closed
-forms.
+forms.  The HypPlus count law is checked the same way: the number of levels
+below the well edge is the difference of the matrix's Sturm counts at 0 and
+just below the edge, with no level refined.
 """
 
 import math
@@ -211,6 +213,10 @@ def shoot_eigenvalue(model, m, k):
     equation on a cell-centred grid, LAPACK bisection with Sturm counts and
     Richardson extrapolation in the grid step.  The outer end grows until it
     covers the decay length of the solver's own k-th eigenvalue.
+
+    One solve returns levels 0..k, and a later call for a higher k solves
+    afresh; so ask each (model, |m|) for its highest level first.  Levels in
+    ascending k cost one eigensolve each.
     """
     _require_quantum(model)
     m = abs(int(m))
@@ -231,15 +237,18 @@ def shoot_eigenvalue(model, m, k):
 def count_bound_levels(model, m):
     """Number of bound radial levels for angular number m, by Sturm count.
 
-    Eigenvalues below the well edge on the longest domain; independent of
-    the closed-form count.
+    Eigenvalues in (0, edge (1 - 1e-6)] on the longest domain: the
+    difference of the Sturm counts at the two ends of that interval.  The
+    bisection tolerance is the interval width, so LAPACK counts the levels
+    without refining any of them.  Independent of the closed-form count.
     """
     _require_quantum(model)
     if model.family == "h0":
         raise DomainError("the Hyp0 well is infinitely deep; the count diverges")
     probe = _edge(model) * (1.0 - 1e-6)
     found = _eigenvalues(
-        model, abs(int(m)), _X_MAX, _H_COARSE, select="v", select_range=(0.0, probe)
+        model, abs(int(m)), _X_MAX, _H_COARSE, select="v", select_range=(0.0, probe),
+        tol=probe,
     )
     return len(found)
 
@@ -300,14 +309,9 @@ def schrodinger_residual(model, level, h=1e-3):
         q_max = max(10.0, 0.5 * math.log(_xi_eff(model) / delta) + 28.0 / (0.5 + sq))
     q = np.arange(3 * h, q_max, h)
     psi = _radial_wave(model, level, q)
-    psi_p = (_radial_wave(model, level, q + h) - _radial_wave(model, level, q - h)) / (
-        2.0 * h
-    )
-    psi_pp = (
-        _radial_wave(model, level, q + h)
-        - 2.0 * psi
-        + _radial_wave(model, level, q - h)
-    ) / (h * h)
+    up, down = _radial_wave(model, level, q + h), _radial_wave(model, level, q - h)
+    psi_p = (up - down) / (2.0 * h)
+    psi_pp = (up - 2.0 * psi + down) / (h * h)
     if model.family == "h0":
         W = 1.0 + model.rho * q**2
         lap = psi_pp + psi_p / q - m**2 * psi / q**2

@@ -6,7 +6,14 @@ import pytest
 from koenigs.errors import BoundaryReached, NotBounded
 from koenigs.flow import _rhs, closure_test, drift_report, integrate
 from koenigs.geodesics import classify, curve_residual, start_point
-from koenigs.models import FAMILIES, PhasePoint, hamiltonian, make_model, make_point
+from koenigs.models import (
+    FAMILIES,
+    PhasePoint,
+    chart_margin,
+    hamiltonian,
+    make_model,
+    make_point,
+)
 from koenigs.verify import _VERIFY_MODELS, _random_points
 
 
@@ -79,6 +86,24 @@ def test_hminus_edge_stops_the_run():
     with pytest.raises(BoundaryReached) as excinfo:
         integrate(model, start, 20.0, tol=1e-10)
     assert abs(excinfo.value.point.q1 - math.asinh(-0.6)) < 1e-6
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10])
+@pytest.mark.parametrize("p1", [-3.0, -1.0])
+def test_hminus_fall_into_the_edge_is_boundary_reached(p1, tol):
+    # with xi < 0 dq1/dt blows up at sinh(x) + rho = 0: DOP853 gives up a few
+    # 1e-8 inside the edge, or its event point lands beyond it
+    model = make_model("hminus", 0.6, -0.5)
+    with pytest.raises(BoundaryReached) as excinfo:
+        integrate(model, PhasePoint(0.5, 0.0, p1, 0.0), 5.0, tol=tol)
+    assert 0.0 < chart_margin(model, excinfo.value.point.q1) < 1e-6
+
+
+def test_trajectory_counts_solver_evaluations(h0_model):
+    # DOP853 makes 12 evaluations per accepted step, more for rejected ones
+    regime = classify(h0_model, 0.5, 0.5)
+    traj = integrate(h0_model, start_point(regime), 30.0, tol=1e-10, samples=0)
+    assert traj.nfev >= 12 * (len(traj.t) - 1)
 
 
 def test_trig_orbit_reaches_the_pi_edge(trig_model):

@@ -95,6 +95,32 @@ def test_count_bound_levels_matches_window():
         assert count_bound_levels(model, m) == predicted
 
 
+def _count_cases():
+    # seeded wells on both sides of rho = 1, m up to the window J_max; at
+    # xi = 4.2661 the grid's n = 1 level sits 4.4e-7 below the probe, at
+    # xi = 4.2659 it sits 5.9e-7 above
+    rng = np.random.default_rng(7)
+    cases = [(0.5, 4.2661, 0), (0.5, 4.2659, 0)]
+    for i in range(10):
+        rho = rng.uniform(0.3, 1.0) if i % 2 else rng.uniform(1.0, 3.0)
+        xi = rng.uniform(0.3, 60.0)
+        j_max = math.sqrt((xi + 0.25) / rho)
+        cases.append((rho, xi, int(rng.integers(0, math.floor(j_max) + 1))))
+    return cases
+
+
+@pytest.mark.parametrize("rho, xi, m", _count_cases())
+def test_count_bound_levels_equals_refined_count(rho, xi, m):
+    # the count from two Sturm counts against every level bisected to
+    # full precision on the same matrix
+    model = make_model("hplus", rho, xi)
+    probe = quantum._edge(model) * (1.0 - 1e-6)
+    refined = quantum._eigenvalues(
+        model, m, quantum._X_MAX, quantum._H_COARSE, select="v", select_range=(0.0, probe)
+    )
+    assert count_bound_levels(model, m) == len(refined)
+
+
 def test_count_bound_levels_h0_rejected():
     model = make_model("h0", 0.8, 1.1)
     with pytest.raises(DomainError):
