@@ -130,6 +130,8 @@ def _solve(model, initial, t_end, tol, samples, events):
             z = sol.y_events[idx][0]
             if not chart_margin(model, z[0]) > 0.0:
                 t_hit, z = inside
+                if not samples:  # the event point is also the last row
+                    traj.t[-1], traj.states[-1] = t_hit, z
             raise BoundaryReached(t_hit, PhasePoint(*z), traj)
     return traj, sol
 

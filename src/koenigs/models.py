@@ -15,7 +15,10 @@ closed-orbit and quantum entry points all read it.  Per-family formulas
 
 Every Hamiltonian has the shape H = (a(q1) p1^2 + b(q1) p2^2 + c(q1)) / 2,
 so the metric is diag(1/a, 1/b) and the potential is c/2.  All coordinate
-functions below accept scalars or numpy arrays.
+functions below accept scalars or numpy arrays.  `kernel` must stay
+analytic in q1 (the flow differentiates it by complex step) and, on hplus,
+finite out to chi = 200 (the eigensolve's longest domain): no product
+there may overflow where the ratio it feeds does not.
 """
 
 import math
@@ -137,7 +140,8 @@ def kernel(model, q1):
     if fam == "hplus":
         s, c = np.sinh(q1), np.cosh(q1)
         W = 1.0 + rho * s**2
-        return c**2 / W, c**2 / (W * s**2), xi * s**2 / W
+        a = c**2 / W
+        return a, a / s**2, xi * s**2 / W
     if fam == "hminus":
         S = np.sinh(q1) + rho
         c2 = np.cosh(q1) ** 2

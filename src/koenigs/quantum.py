@@ -1,25 +1,28 @@
 """Bound spectra and radial eigenproblems for the Hyp0 and HypPlus wells.
 
 Closed-form spectra come from the linearizing quantum number
-J_tilde = 2n + |m| + 1.  Their independent check is a Sturm-Liouville
-eigensolve: each radial equation in flux form -(p y')' + V y = E w y on a
-cell-centred grid, a symmetric tridiagonal matrix whose eigenvalues LAPACK
-finds by bisection with Sturm counts (node counting in compiled code), and
-Richardson extrapolation in the grid step.  It never consults the closed
-forms.  The HypPlus count law is checked the same way: the number of levels
-below the well edge is the difference of the matrix's Sturm counts at 0 and
-just below the edge, with no level refined.
+J_tilde = 2n + |m| + 1.  Their independent check quantizes `models.kernel`
+the Carter (minimal) way, -Laplacian/2 + c/2: for H = (a p1^2 + b p2^2 + c)/2
+the m-th angular mode solves -(p y')' + V y = E w y with
+
+    p = sqrt(a/b),    V = m^2/p + c/sqrt(a b),    w = 2/sqrt(a b).
+
+On a cell-centred grid that is a symmetric tridiagonal matrix whose
+eigenvalues LAPACK finds by bisection with Sturm counts, followed by
+Richardson extrapolation in the grid step; the eigenfunction residual
+applies the same operator.  Neither consults the closed forms.  The HypPlus
+count law is the difference of the matrix's Sturm counts at 0 and just
+below the well edge, with no level refined.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceFailure, DomainError, NoBoundState
-from .models import FAMILY, check_chart
+from .models import FAMILY, check_chart, kernel
 from .specfun import jacobi, laguerre
 
 
@@ -39,8 +42,8 @@ def _require_quantum(model):
 
 
 def _xi_eff(model):
-    # the quantum HypPlus problem carries the quarter shift from the
-    # Liouville transformation of the angular barrier
+    # the closed-form HypPlus spectrum carries a quarter shift of xi; the
+    # eigensolve reproduces it from the metric without being told
     return model.xi + 0.25 if model.family == "hplus" else model.xi
 
 
@@ -89,47 +92,13 @@ def eigenfunction(model, level, position):
     return float(_radial_wave(model, level, q1)) * complex(math.cos(m * q2), math.sin(m * q2))
 
 
-def q_coordinate(model, chi):
-    """Arc-type radial coordinate of the HypPlus Liouville transformation."""
-    if model.family != "hplus":
-        raise DomainError("q_coordinate is defined on the hplus chart")
-    if chi < 0.0:
-        raise DomainError(f"need chi >= 0, got {chi}")
-    if chi == 0.0:
-        return 0.0
-    rho = model.rho
-
-    def integrand(u):
-        return math.sqrt(1.0 / math.cosh(u) ** 2 + rho * math.tanh(u) ** 2)
-
-    val, _ = quad(integrand, 0.0, chi, limit=200)
-    return val
-
-
-def effective_potential(model, m, chi):
-    """Radial barrier U_m(chi) seen by the HypPlus Liouville coordinate."""
-    if model.family != "hplus":
-        raise DomainError("effective_potential is defined on the hplus chart")
-    s2 = np.sinh(chi) ** 2
-    W = 1.0 + model.rho * s2
-    t2 = s2 / (1.0 + s2)
-    twoV = model.xi * s2 / W
-    curv = (
-        (1.0 - model.rho)
-        / 4.0
-        * (2.0 + (1.0 - 3.0 * model.rho) * s2 - 4.0 * model.rho * s2**2)
-        / W**3
-    )
-    return (m**2 - 0.25 + 0.25 * s2) / (t2 * W) + twoV - curv
-
-
 # -- flux-form eigensolve -----------------------------------------------------
 
 # Richardson pair for the second-order cell-centred scheme
 _H_COARSE = 0.004
 _H_FINE = 0.002
 # outer end of the radial domain: first try, and the longest tried (r for
-# h0, chi for hplus); sinh(chi)**3 stays finite up to the longest end
+# h0, chi for hplus); the hplus kernel stays finite up to the longest end
 _X_START = 10.0
 _X_MAX = 200.0
 # lowest eigenvalues solved so far per (model, |m|), oldest entry evicted first
@@ -138,17 +107,16 @@ _LEVELS = {}
 
 
 def _flux_coefficients(model, m, x):
-    """p, V, w of -(p y')' + V y = E w y: the radial operator times its measure.
+    """p, V, w of the m-th mode of -Laplacian/2 + c/2, read from `models.kernel`.
 
-    The same operator as in schrodinger_residual, multiplied by twice the
-    measure W r (h0) or W sinh(chi) / cosh(chi)^2 (hplus).  p vanishes on the
-    axis, which is what builds regularity into the cell-centred grid.
+    p = sqrt(a/b), V = m^2/p + c/sqrt(a b) and w = 2/sqrt(a b), with no
+    family formula here.  p vanishes on the axis, which is what builds
+    regularity into the cell-centred grid.
     """
-    if model.family == "h0":
-        return x, m**2 / x + model.xi * x**3, 2.0 * x * (1.0 + model.rho * x**2)
-    s = np.sinh(x)
-    c2 = 1.0 + s * s
-    return s, m**2 / s + model.xi * s**3 / c2, 2.0 * (1.0 + model.rho * s * s) * s / c2
+    a, b, c = kernel(model, x)
+    root = np.sqrt(a * b)
+    p = np.sqrt(a / b)
+    return p, m**2 / p + c / root, 2.0 / root
 
 
 def _eigenvalues(model, m, x_max, h, **select):
@@ -261,7 +229,6 @@ class RadialProblem:
 
     model: object
     m: int
-    bc: str = "friedrichs"
 
     def p(self, x):
         return _flux_coefficients(self.model, self.m, np.asarray(x, dtype=float))[0]
@@ -273,11 +240,9 @@ class RadialProblem:
         return _flux_coefficients(self.model, self.m, np.asarray(x, dtype=float))[2]
 
 
-def radial_problem(model, m, bc="friedrichs"):
+def radial_problem(model, m):
     _require_quantum(model)
-    if bc != "friedrichs":
-        raise DomainError(f"only the friedrichs boundary condition is built, got {bc!r}")
-    return RadialProblem(model=model, m=int(m), bc=bc)
+    return RadialProblem(model=model, m=int(m))
 
 
 def _radial_wave(model, level, q):
@@ -293,7 +258,7 @@ def _radial_wave(model, level, q):
 
 
 def schrodinger_residual(model, level, h=1e-3):
-    """Relative L2 residual of (H - E) psi with central differences.
+    """Relative w-weighted L2 residual of (H - E) psi, H in flux form on step h.
 
     Second order: halving h should shrink the value about fourfold.
     """
@@ -307,23 +272,12 @@ def schrodinger_residual(model, level, h=1e-3):
         q_max = math.sqrt((45.0 + 10.0 * level.n) / sq)
     else:
         q_max = max(10.0, 0.5 * math.log(_xi_eff(model) / delta) + 28.0 / (0.5 + sq))
-    q = np.arange(3 * h, q_max, h)
+    q = np.arange(2 * h, q_max + h, h)
     psi = _radial_wave(model, level, q)
-    up, down = _radial_wave(model, level, q + h), _radial_wave(model, level, q - h)
-    psi_p = (up - down) / (2.0 * h)
-    psi_pp = (up - 2.0 * psi + down) / (h * h)
-    if model.family == "h0":
-        W = 1.0 + model.rho * q**2
-        lap = psi_pp + psi_p / q - m**2 * psi / q**2
-        ham = -lap / (2.0 * W) + model.xi * q**2 / (2.0 * W) * psi
-        measure = W * q
-    else:
-        s, c = np.sinh(q), np.cosh(q)
-        W = 1.0 + model.rho * s**2
-        lap = psi_pp + (c / s) * psi_p - m**2 * psi / s**2
-        ham = -(c**2) * lap / (2.0 * W) + model.xi * s**2 / (2.0 * W) * psi
-        measure = W * s / c**2
-    res = ham - E * psi
-    num = float(np.sum(measure * res**2))
-    den = float(np.sum(measure * psi**2))
+    p = _flux_coefficients(model, m, q[:-1] + 0.5 * h)[0]
+    _, V, w = _flux_coefficients(model, m, q[1:-1])
+    psi, flux = psi[1:-1], p * np.diff(psi)
+    res = (-np.diff(flux) / h**2 + V * psi) / w - E * psi
+    num = float(np.sum(w * res**2))
+    den = float(np.sum(w * psi**2))
     return math.sqrt(num / den)

@@ -661,10 +661,9 @@ def _check_norms_finite(rng):
             delta = quantum_mod._xi_eff(model) - 2.0 * model.rho * lv.E
             if fam == "h0":
                 q = np.linspace(1e-3, math.sqrt(60.0 / math.sqrt(delta)), 4000)
-                w = (1.0 + rho * q**2) * q
             else:
                 q = np.linspace(1e-3, 12.0 + 3.0 / math.sqrt(delta), 4000)
-                w = (1.0 + rho * np.sinh(q) ** 2) * np.sinh(q) / np.cosh(q) ** 2
+            w = quantum_mod._flux_coefficients(model, lv.m, q)[2]
             psi = quantum_mod._radial_wave(model, lv, q)
             dens = w * psi**2
             total = float(trapezoid(dens, q))

@@ -5,12 +5,10 @@ import pytest
 
 from koenigs import quantum
 from koenigs.errors import DomainError, NoBoundState
-from koenigs.models import Model, make_model
+from koenigs.models import make_model
 from koenigs.quantum import (
     count_bound_levels,
-    effective_potential,
     eigenfunction,
-    q_coordinate,
     radial_problem,
     schrodinger_residual,
     shoot_eigenvalue,
@@ -150,25 +148,36 @@ def test_eigenfunction_nodes_and_angular_factor():
     assert abs(v1 / v0 - np.exp(1j * 0.7)) < 1e-12
 
 
-def test_effective_potential_saturates(hplus_model):
-    # the barrier saturates at xi_tilde/rho; the solver's 1/2 factor then
-    # puts the essential-spectrum edge in energy at xi_tilde/(2 rho)
-    u_inf = (hplus_model.xi + 0.25) / hplus_model.rho
-    far = effective_potential(hplus_model, 1, 30.0)
-    assert far == pytest.approx(u_inf, rel=1e-8)
-
-
-def test_q_coordinate_flat_limit():
-    # at rho=1 the auxiliary coordinate is linear: q(chi) = chi
-    model = Model("hplus", 1.0, 4.0)
-    assert q_coordinate(model, 1.7) == pytest.approx(1.7, rel=1e-10)
-
-
 def test_radial_problem_validation(h0_model):
     prob = radial_problem(h0_model, 1)
     assert prob.m == 1
-    with pytest.raises(DomainError):
-        radial_problem(h0_model, 0, bc="neumann")
+
+
+def _hand_flux_coefficients(model, m, x):
+    # reference: the h0 and hplus radial operators derived by hand, times
+    # twice the measure W r (h0) or W sinh(chi) / cosh(chi)^2 (hplus)
+    if model.family == "h0":
+        return x, m**2 / x + model.xi * x**3, 2.0 * x * (1.0 + model.rho * x**2)
+    s = np.sinh(x)
+    c2 = 1.0 + s * s
+    return s, m**2 / s + model.xi * s**3 / c2, 2.0 * (1.0 + model.rho * s * s) * s / c2
+
+
+@pytest.mark.parametrize("family, rho, xi, x_max", [
+    ("h0", 0.8, 1.1, 60.0), ("h0", 2.0, 3.0, 60.0),
+    ("hplus", 0.5, 7.75, quantum._X_MAX), ("hplus", 2.0, 31.75, quantum._X_MAX),
+])
+def test_flux_coefficients_match_hand_formulas(family, rho, xi, x_max):
+    # the Carter operator read from the kernel is the hand-derived radial
+    # operator on every face and centre of the fine grid
+    model = make_model(family, rho, xi)
+    h = quantum._H_FINE
+    x = 0.5 * h * np.arange(1, 2 * round(x_max / h) + 1)
+    for m in (0, 1, 5):
+        got = quantum._flux_coefficients(model, m, x)
+        for g, ref in zip(got, _hand_flux_coefficients(model, m, x)):
+            assert np.all(np.isfinite(g)) and np.all(np.isfinite(ref))
+            assert np.max(np.abs(g - ref) / np.abs(ref)) < 1e-13
 
 
 @pytest.mark.parametrize("family, rho, xi, n, m", [("h0", 0.8, 1.1, 1, 1), ("hplus", 0.5, 7.75, 1, 0)])
