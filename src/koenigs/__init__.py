@@ -31,7 +31,6 @@ from .geodesics import (
     curve_residual,
     radial_momentum_sq,
     start_point,
-    turning_points,
 )
 from .invariants import ConservedSet, conserved_set, poisson_bracket, second_integrals
 from .models import (
@@ -50,7 +49,6 @@ from .quantum import (
     Level,
     count_bound_levels,
     eigenfunction,
-    radial_problem,
     schrodinger_residual,
     shoot_eigenvalue,
     spectrum,
@@ -104,7 +102,6 @@ __all__ = [
     "metric_components",
     "poisson_bracket",
     "radial_momentum_sq",
-    "radial_problem",
     "run_suite",
     "scalar_curvature",
     "schrodinger_residual",
@@ -112,5 +109,4 @@ __all__ = [
     "shoot_eigenvalue",
     "spectrum",
     "start_point",
-    "turning_points",
 ]

@@ -26,7 +26,7 @@ class ActionVars:
 
 
 def _require_closed(model, E, L):
-    if not FAMILY[model.family].closed:
+    if FAMILY[model.family].radial is None:
         raise NotClosedRegime(f"family '{model.family}' has no closed bounded orbits")
     try:
         regime = classify(model, E, L)
@@ -55,18 +55,6 @@ def action_variables(model, E, L):
     return ActionVars(I_angle=L, I_radial=I_r, J=J)
 
 
-def _radial_quadratic(model, E, L):
-    """Coefficients (A2, A1, A0) of p1^2 * u = A2 u^2 + A1 u + A0.
-
-    u = q1^2 for Hyp0 (so p_r^2 r^2 = ...), u = tanh(q1)^2 for HypPlus.
-    """
-    rho, xi = model.rho, model.xi
-    if model.family == "h0":
-        return (2.0 * rho * E - xi, 2.0 * E, -(L**2))
-    sigma = 2.0 * (rho - 1.0) * E - xi
-    return (sigma, 2.0 * E + L**2, -(L**2))
-
-
 def action_quadrature(model, E, L):
     """I_radial by numeric quadrature of (1/2pi) times the loop integral of p1 dq1.
 
@@ -77,28 +65,23 @@ def action_quadrature(model, E, L):
     independent check; disagreement raises QuadratureFailure.
     """
     regime = _require_closed(model, E, L)
-    A2, A1, A0 = _radial_quadratic(model, E, L)
-    if A2 >= 0.0:
-        raise NotClosedRegime("radial quadratic is not concave; orbit cannot librate")
-    disc = A1**2 - 4.0 * A2 * A0
-    if disc <= 0.0:
+    if len(regime.turning_points) < 2:
         return 0.0  # circular: turning points coincide
-    u_lo = (-A1 + math.sqrt(disc)) / (2.0 * A2)
-    u_hi = (-A1 - math.sqrt(disc)) / (2.0 * A2)
+    q_lo, q_hi = regime.turning_points
+    radial = FAMILY[model.family].radial
+    u_lo, u_hi = radial.u(q_lo), radial.u(q_hi)
     mid, half = 0.5 * (u_hi + u_lo), 0.5 * (u_hi - u_lo)
     if half <= 0.0:
         return 0.0
 
-    # I = (1/pi) * integral of sqrt(-A2 (u_hi - u)(u - u_lo)) / (u * du_density) du,
-    # du_density = u'(q1) expressed through u.  The 1/pi (not 1/2pi) keeps
-    # I_radial + I_angle equal to the J that linearizes the energy.
+    # p1^2 u = -sigma (u_hi - u)(u - u_lo), and du/dq1 = 2 sqrt(u) (1 - kappa u), so
+    # I = (1/pi) * integral of sqrt(-sigma (u_hi - u)(u - u_lo)) / (2 u (1 - kappa u)) du.
+    # The 1/pi (not 1/2pi) keeps I_radial + I_angle equal to the J that
+    # linearizes the energy.
     u = mid - half * np.cos(0.5 * math.pi * (_GL_NODES + 1.0))
     s2 = np.sin(0.5 * math.pi * (_GL_NODES + 1.0)) ** 2
-    amp = math.sqrt(-A2) * half**2 / 2.0
-    if model.family == "h0":
-        vals = s2 / u
-    else:
-        vals = s2 / (u * (1.0 - u))
+    amp = math.sqrt(-regime.params["sigma"]) * half**2 / 2.0
+    vals = s2 / (u * (1.0 - radial.kappa * u))
     primary = amp * float(np.dot(_GL_WEIGHTS, vals))
     if half <= 1e-6 * max(1.0, abs(mid)):
         # turning interval collapsed to roundoff width; the loop integral
@@ -107,11 +90,6 @@ def action_quadrature(model, E, L):
 
     # raw oracle straight in the chart coordinate, with the sqrt turning-point
     # behavior handed to the quadrature as an algebraic endpoint weight
-    if model.family == "h0":
-        q_lo, q_hi = math.sqrt(u_lo), math.sqrt(u_hi)
-    else:
-        q_lo, q_hi = math.atanh(math.sqrt(u_lo)), math.atanh(math.sqrt(u_hi))
-
     def p1_sq(q1):
         a, b, c = kernel(model, q1)
         return (2.0 * E - b * L**2 - c) / a
@@ -132,7 +110,6 @@ def action_quadrature(model, E, L):
         raise QuadratureFailure(
             f"quadrature routes disagree: smooth={primary!r}, adaptive={raw!r}"
         )
-    del regime
     return primary
 
 

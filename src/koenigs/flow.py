@@ -110,14 +110,18 @@ def _solve(model, initial, t_end, tol, samples, events):
     )
     # solve_ivp leaves t/y as empty lists when a terminal event fires
     # before the first requested sample
-    ts = np.asarray(sol.t, dtype=float)
-    ys = np.asarray(sol.y, dtype=float)
-    if ys.size == 0:
-        ys = ys.reshape(4, 0)
-    traj = Trajectory(model, ts.copy(), ys.T.copy(), int(sol.nfev))
+    ts = np.array(sol.t, dtype=float)
+    ys = np.array(sol.y, dtype=float).reshape(4, -1).T
+
+    def trajectory():
+        # near an edge DOP853's steps can fall below the spacing of t; a row
+        # whose time equals the next row's time is dropped
+        keep = np.diff(ts, append=np.inf) > 0.0
+        return Trajectory(model, ts[keep], ys[keep], int(sol.nfev))
+
     if sol.status == -1:
         if chart_margin(model, inside[1][0]) < _NEAR_EDGE:
-            raise BoundaryReached(inside[0], PhasePoint(*inside[1]), traj)
+            raise BoundaryReached(inside[0], PhasePoint(*inside[1]), trajectory())
         raise StepFailure(f"integrator failed: {sol.message}")
     if sol.status == 1:
         edge_hits = [te for te in sol.t_events[: len(edge)] if len(te)]
@@ -131,9 +135,9 @@ def _solve(model, initial, t_end, tol, samples, events):
             if not chart_margin(model, z[0]) > 0.0:
                 t_hit, z = inside
                 if not samples:  # the event point is also the last row
-                    traj.t[-1], traj.states[-1] = t_hit, z
-            raise BoundaryReached(t_hit, PhasePoint(*z), traj)
-    return traj, sol
+                    ts[-1], ys[-1] = t_hit, z
+            raise BoundaryReached(t_hit, PhasePoint(*z), trajectory())
+    return trajectory(), sol
 
 
 def integrate(model, initial, t_end, tol=1e-10, samples=400):

@@ -5,6 +5,20 @@ exactly the constants its curve formula needs.  curve_residual() then
 measures how far a configuration-space point sits from that curve, and
 the flow module provides the independent integration oracle.
 
+Hyp0 and HypPlus share one radial quadratic.  With u = u(q1),
+
+    p1^2 u = sigma u^2 + 2 A u - L^2,
+    sigma = 2 (rho - kappa) E - xi,    A = E + kappa L^2 / 2,
+
+read through each family's `models.Radial` row:
+
+    family   kappa   u(q1)         q1(u)         far edge u_far
+    h0       0       r^2           sqrt(u)       inf
+    hplus    1       tanh^2 chi    atanh sqrt u  1
+
+Both are open exactly when 2 rho E > xi; the classifier, the curve
+residual and the action quadrature all read the same row.
+
 Conventions: L > 0 throughout.  Negative-energy trigonometric inputs are
 mapped through (E, sigma, xi) -> (-E, -sigma, -xi), classified, and the
 resulting domains and turning points reflected back through x -> pi - x;
@@ -15,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, NoGlobalStructure, NoMotion, OutOfDomain
-from .models import PhasePoint, kernel
+from .models import FAMILY, PhasePoint, kernel
 
 _REL = 1e-12
 
@@ -50,10 +64,10 @@ def _near(value, target, scale):
 
 # -- trig family ---------------------------------------------------------
 
-def _classify_trig_zero_energy(model, E, L, force):
+def _classify_trig_zero_energy(model, L):
     xi = model.xi
     scale = max(1.0, abs(xi), L**2)
-    if force == "e0_wall" or _near(xi, -L**2, scale):
+    if _near(xi, -L**2, scale):
         x_star = 0.5 * math.pi
         return dict(
             tag="e0_wall",
@@ -81,7 +95,7 @@ def _classify_trig_zero_energy(model, E, L, force):
     )
 
 
-def _classify_trig_positive(eta, sigma, force):
+def _classify_trig_positive(eta, sigma):
     """Sub-cases for eta > 0; returns dict or raises NoMotion."""
     scale = max(1.0, abs(sigma), eta)
     if sigma >= 1.0 - _REL * scale:
@@ -100,7 +114,7 @@ def _classify_trig_positive(eta, sigma, force):
     sig = min(sigma, -1.0)
     theta = math.acosh(-sig)
     eth = math.exp(-theta)
-    if force == "epos_sep" or _near(eta, eth, max(eta, eth)):
+    if _near(eta, eth, max(eta, eth)):
         x_star = math.acos(eth)
         return dict(
             tag="epos_sep",
@@ -130,18 +144,17 @@ def _classify_trig_positive(eta, sigma, force):
     )
 
 
-def _classify_trig(model, E, L, force):
+def _classify_trig(model, E, L):
     rho, xi = model.rho, model.xi
     scale = max(1.0, abs(xi), L**2, abs(E))
-    if force in ("e0_arcs", "e0_full", "e0_wall") or _near(E, 0.0, scale):
-        data = _classify_trig_zero_energy(model, 0.0, L, force)
-        return data, None
+    if _near(E, 0.0, scale):
+        return _classify_trig_zero_energy(model, L), None
     eta = rho * E / L**2
     sigma = (xi / (2.0 * E) - 1.0) / rho
     if E > 0:
-        return _classify_trig_positive(eta, sigma, force), None
+        return _classify_trig_positive(eta, sigma), None
     # negative energy: classify the mirrored system, then reflect
-    data = _classify_trig_positive(-eta, -sigma, force)
+    data = _classify_trig_positive(-eta, -sigma)
     refl_domain = tuple(
         sorted((math.pi - hi, math.pi - lo) for lo, hi in data["domain"])
     )
@@ -151,147 +164,72 @@ def _classify_trig(model, E, L, force):
     return data, "(E, sigma, xi) -> (-E, -sigma, -xi)"
 
 
-# -- h0 family -----------------------------------------------------------
+# -- h0 and hplus: one radial quadratic -------------------------------------
 
-def _classify_h0(model, E, L, force):
-    rho, xi = model.rho, model.xi
-    a = 2.0 * rho * E - xi
-    scale = max(1.0, abs(rho * E), abs(xi))
-    a_is_zero = _near(a, 0.0, scale)
-    params = {}
-    rad = rho**2 + xi / L**2
-    if rad >= 0.0:
-        params["E_plus"] = L**2 * (-rho + math.sqrt(rad))
-        params["E_minus"] = L**2 * (-rho - math.sqrt(rad))
-    if a > 0.0 and not a_is_zero or (a_is_zero and E > 0.0):
-        a_eff = 0.0 if a_is_zero else a
-        delta = E**2 + L**2 * a_eff
-        sq = math.sqrt(delta)
-        r_star = math.sqrt(L**2 / (E + sq))
-        ecc = sq / abs(E) if not _near(E, 0.0, scale) else None
-        params.update({"sqrt_delta": sq, "r_star": r_star})
-        return GeodesicRegime(
-            model, "open", E, L,
-            domain=((r_star, INF),), turning_points=(r_star,),
-            eccentricity=ecc, closed=False, params=params,
-        )
-    if a_is_zero:
-        raise NoMotion(f"h0 family with 2*rho*E = xi needs E > 0, got E={E}")
-    # a < 0
-    if E <= 0.0:
-        raise NoMotion(f"h0 family with 2*rho*E < xi needs E > 0, got E={E}")
-    delta = E**2 + L**2 * a
-    if force == "circular" or _near(delta, 0.0, max(E**2, L**2 * abs(a))):
-        r_star = math.sqrt(L**2 / E)
-        params.update({"r_minus": r_star, "r_plus": r_star, "sqrt_delta": 0.0})
-        return GeodesicRegime(
-            model, "closed", E, L,
-            domain=((r_star, r_star),), turning_points=(r_star,),
-            eccentricity=0.0, closed=True, params=params,
-        )
-    if delta < 0.0:
-        raise NoMotion(
-            f"h0 family: E={E} below the circular energy for L={L}"
-        )
-    sq = math.sqrt(delta)
-    r_minus = math.sqrt(L**2 / (E + sq))
-    r_plus = math.sqrt(L**2 / (E - sq))
-    params.update({"sqrt_delta": sq, "r_minus": r_minus, "r_plus": r_plus})
-    return GeodesicRegime(
-        model, "closed", E, L,
-        domain=((r_minus, r_plus),), turning_points=(r_minus, r_plus),
-        eccentricity=sq / E, closed=True, params=params,
-    )
+def _classify_radial(model, radial, E, L):
+    """Closed-family regime from p1^2 u = F(u) = sigma u^2 + 2 A u - L^2.
 
-
-# -- hplus family ----------------------------------------------------------
-
-def _classify_hplus(model, E, L, force):
-    rho, xi = model.rho, model.xi
-    sigma = 2.0 * (rho - 1.0) * E - xi
-    A = E + 0.5 * L**2
-    F1 = 2.0 * rho * E - xi          # F(u) at the chart's far edge u=1
+    F(u_far) has the sign of 2 rho E - xi, so the orbit is open above that
+    line and librates in [u_-, u_+] below it.  Both roots come from forms
+    that do not cancel: u_- = L^2 / (A + sqrt(delta)) and the Vieta partner
+    u_+ = (A + sqrt(delta)) / (-sigma), with delta = A^2 + L^2 sigma.  Only
+    open orbits have A <= 0; their u_- is (sqrt(delta) - A) / sigma.
+    """
+    rho, xi, kappa = model.rho, model.xi, radial.kappa
+    sigma = 2.0 * (rho - kappa) * E - xi
+    A = E + 0.5 * kappa * L**2
     delta = A**2 + L**2 * sigma
     scale = max(1.0, abs(E), L**2, abs(xi))
-    params = {"sigma": sigma, "A": A, "xi_over_2rho": xi / (2.0 * rho)}
-    rad = xi + rho * (rho - 1.0) * L**2
+    params = {"sigma": sigma, "A": A}
+    rad = xi + rho * (rho - kappa) * L**2
     if rad >= 0.0:
-        params["E_plus"] = L * (math.sqrt(rad) - (rho - 0.5) * L)
-
-    def chi_of_u(u):
-        return math.atanh(math.sqrt(u))
-
-    f1_is_zero = _near(F1, 0.0, scale)
-    if F1 > 0.0 and not f1_is_zero:
+        params["E_plus"] = L * (math.sqrt(rad) - (rho - 0.5 * kappa) * L)
+    far = 2.0 * rho * E - xi
+    on_edge = _near(far, 0.0, scale)
+    closed = far < 0.0 and not on_edge
+    if on_edge:
+        # F(u_far) = 0: drop the root at the far edge; the other one is
+        # L^2 / (2A - L^2/u_far), i.e. sqrt(delta) = A - L^2/u_far
+        sq = A - L**2 / radial.u_far
+        if sq <= 0.0:
+            raise NoMotion(f"{model.family} family: allowed band empty at 2*rho*E = xi")
+    elif not closed:
         sq = math.sqrt(delta)
-        u_minus = L**2 / (A + sq)
-        chi_minus = chi_of_u(u_minus)
-        ecc = sq / abs(A) if abs(A) > _REL * scale else None
-        params.update({"sqrt_delta": sq, "u_minus": u_minus, "chi_minus": chi_minus})
+    elif sigma >= 0.0 or A <= 0.0:
+        raise NoMotion(f"{model.family} family: no motion for 2*rho*E < xi at E={E}, L={L}")
+    elif _near(delta, 0.0, max(A**2, L**2 * abs(sigma))):
+        sq = 0.0      # circular orbit
+    elif delta < 0.0:
+        raise NoMotion(f"{model.family} family: E={E} below the circular energy for L={L}")
+    else:
+        sq = math.sqrt(delta)
+    params["sqrt_delta"] = sq
+    u_in = L**2 / (A + sq) if A > 0.0 else (sq - A) / sigma
+    if u_in >= radial.u_far:
+        raise NoMotion(f"{model.family} family: turning point outside the chart")
+    q_in = radial.q1(u_in)
+    if not closed:
+        ecc = None if _near(A, 0.0, scale) else sq / abs(A)
         return GeodesicRegime(
-            model, "open", E, L,
-            domain=((chi_minus, INF),), turning_points=(chi_minus,),
+            model, "open", E, L, domain=((q_in, INF),), turning_points=(q_in,),
             eccentricity=ecc, closed=False, params=params,
         )
-    if f1_is_zero:
-        if sigma < 0.0:
-            u_minus = L**2 / abs(sigma)
-            if u_minus < 1.0:
-                chi_minus = chi_of_u(u_minus)
-                sq = math.sqrt(max(delta, 0.0))
-                ecc = sq / abs(A) if abs(A) > _REL * scale else None
-                params.update({"sqrt_delta": sq, "u_minus": u_minus,
-                               "chi_minus": chi_minus})
-                return GeodesicRegime(
-                    model, "open", E, L,
-                    domain=((chi_minus, INF),), turning_points=(chi_minus,),
-                    eccentricity=ecc, closed=False, params=params,
-                )
-        raise NoMotion("hplus family: allowed band empty at 2*rho*E = xi")
-    # F(1) < 0
-    if sigma >= 0.0:
-        raise NoMotion(
-            f"hplus family: no motion for 2*rho*E < xi with sigma={sigma} >= 0"
-        )
-    dscale = max(A**2, L**2 * abs(sigma))
-    if force == "circular" or _near(delta, 0.0, dscale):
-        u_v = A / abs(sigma)
-        if A > 0.0 and u_v < 1.0:
-            chi_star = chi_of_u(u_v)
-            params.update({"sqrt_delta": 0.0, "u_minus": u_v, "u_plus": u_v,
-                           "chi_minus": chi_star, "chi_plus": chi_star})
-            return GeodesicRegime(
-                model, "closed", E, L,
-                domain=((chi_star, chi_star),), turning_points=(chi_star,),
-                eccentricity=0.0, closed=True, params=params,
-            )
-        raise NoMotion("hplus family: degenerate vertex outside the chart")
-    if delta < 0.0 or A <= 0.0:
-        raise NoMotion(f"hplus family: no real turning interval at E={E}, L={L}")
-    sq = math.sqrt(delta)
-    u_minus = L**2 / (A + sq)
-    u_plus = L**2 / (A - sq)
-    if u_minus >= 1.0:
-        raise NoMotion("hplus family: turning interval outside the chart")
-    chi_minus, chi_plus = chi_of_u(u_minus), chi_of_u(u_plus)
-    params.update({"sqrt_delta": sq, "u_minus": u_minus, "u_plus": u_plus,
-                   "chi_minus": chi_minus, "chi_plus": chi_plus})
+    turning = (q_in, radial.q1((A + sq) / -sigma)) if sq > 0.0 else (q_in,)
     return GeodesicRegime(
-        model, "closed", E, L,
-        domain=((chi_minus, chi_plus),), turning_points=(chi_minus, chi_plus),
+        model, "closed", E, L, domain=((q_in, turning[-1]),), turning_points=turning,
         eccentricity=sq / A, closed=True, params=params,
     )
 
 
 # -- affine family ---------------------------------------------------------
 
-def _classify_affine(model, E, L, force):
+def _classify_affine(model, E, L):
     rho, xi = model.rho, model.xi
     radial = 2.0 * rho * E - L**2     # coefficient of the constant term
     vert = 2.0 * E - xi               # coefficient of the 1/u^2 term
     scale = max(1.0, abs(E), abs(xi), L**2, abs(rho * E))
-    lines_case = force == "lines" or _near(2.0 * E, xi, scale)
-    parab_case = force == "parabola" or _near(2.0 * rho * E, L**2, scale)
+    lines_case = _near(2.0 * E, xi, scale)
+    parab_case = _near(2.0 * rho * E, L**2, scale)
     params = {"y0": 0.0}
     if lines_case:
         if radial > 0.0 and not parab_case:
@@ -341,12 +279,11 @@ def _classify_affine(model, E, L, force):
     )
 
 
-def classify(model, E, L, force=None):
+def classify(model, E, L):
     """Geodesic regime of (model, E, L); L > 0 by convention.
 
     Equality sub-cases (E=0, xi=-L^2, eta=e^{-theta}, 2E=xi, 2*rho*E=L^2,
-    circular orbits) trigger at relative tolerance 1e-12 and can be forced
-    by passing the boundary tag through `force`.
+    2*rho*E=xi, circular orbits) trigger at relative tolerance 1e-12.
     """
     if L <= 0.0:
         raise DomainError(f"classification assumes L > 0, got L={L}")
@@ -354,7 +291,7 @@ def classify(model, E, L, force=None):
     if fam == "hminus":
         raise NoGlobalStructure("no geodesic classification for the local family")
     if fam == "trig":
-        data, applied = _classify_trig(model, E, L, force)
+        data, applied = _classify_trig(model, E, L)
         return GeodesicRegime(
             model, data["tag"], E, L,
             domain=tuple(data["domain"]),
@@ -362,18 +299,12 @@ def classify(model, E, L, force=None):
             eccentricity=None, closed=False,
             params=data["params"], applied_map=applied,
         )
-    if fam == "h0":
-        return _classify_h0(model, E, L, force)
-    if fam == "hplus":
-        return _classify_hplus(model, E, L, force)
+    radial = FAMILY[fam].radial
+    if radial is not None:
+        return _classify_radial(model, radial, E, L)
     if fam == "affine":
-        return _classify_affine(model, E, L, force)
+        return _classify_affine(model, E, L)
     raise DomainError(f"unknown family {fam!r}")
-
-
-def turning_points(model, E, L):
-    """All roots of radial_momentum_sq in the chart, via classify."""
-    return list(classify(model, E, L).turning_points)
 
 
 # -- curve evaluation -----------------------------------------------------
@@ -437,14 +368,12 @@ def curve_residual(regime, point_on_curve):
             f"q1={q1} outside regime domain {regime.domain} ({regime.tag})"
         )
     fam = regime.model.family
-    E, L, p = regime.E, regime.L, regime.params
+    L, p = regime.L, regime.params
     if fam == "trig":
         return _trig_residual(regime, q1, q2)
-    if fam == "h0":
-        return abs(L**2 / q1**2 - E - p["sqrt_delta"] * math.cos(2.0 * q2))
-    if fam == "hplus":
-        lhs = L**2 / math.tanh(q1) ** 2
-        return abs(lhs - p["A"] - p["sqrt_delta"] * math.cos(2.0 * q2))
+    radial = FAMILY[fam].radial
+    if radial is not None:
+        return abs(L**2 / radial.u(q1) - p["A"] - p["sqrt_delta"] * math.cos(2.0 * q2))
     if fam == "affine":
         dy = q2 - p["y0"]
         tag = regime.tag

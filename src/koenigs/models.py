@@ -10,8 +10,11 @@ Five families live here, keyed by short chart names:
 
 `FAMILY` is the one place for each family's parameter domain, chart and
 capabilities; validation, chart checks, the flow's edge events and the
-closed-orbit and quantum entry points all read it.  Per-family formulas
-(kernel, curvature, embedding, generators) stay as one chain each.
+closed-orbit and quantum entry points all read it.  The two families with
+closed orbits carry a `Radial` row: their radial motion is one quadratic in
+u, read through that row by the classifier, the curve residual and the
+action quadrature.  Per-family formulas (kernel, curvature, embedding,
+generators) stay as one chain each.
 
 Every Hamiltonian has the shape H = (a(q1) p1^2 + b(q1) p2^2 + c(q1)) / 2,
 so the metric is diag(1/a, 1/b) and the potential is c/2.  All coordinate
@@ -32,6 +35,19 @@ _EDGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
+class Radial:
+    """Radial quadratic p1^2 u = sigma u^2 + 2 A u - L^2 of a closed family.
+
+    sigma = 2 (rho - kappa) E - xi and A = E + kappa L^2 / 2.
+    """
+
+    kappa: float       # 0 on h0, 1 on hplus
+    u: object          # q1 -> u
+    q1: object         # u -> q1
+    u_far: float       # u at the chart's far edge
+
+
+@dataclass(frozen=True)
 class Family:
     """Parameter domain, chart and capabilities of one family."""
 
@@ -39,7 +55,7 @@ class Family:
     constant_curvature: tuple   # rho values where the metric degenerates
     chart: object               # rho -> open q1 interval (lo, hi)
     angle: bool = False         # q2 is an angle on [0, 2*pi)
-    closed: bool = False        # closed bounded orbits, actions and spectra
+    radial: Radial = None       # set where orbits close: actions and spectra
 
 
 def _half_line(rho):
@@ -48,8 +64,11 @@ def _half_line(rho):
 
 FAMILY = {
     "trig": Family((0.0, 1.0), (0.0, 1.0, -1.0), lambda rho: (0.0, math.pi)),
-    "h0": Family((0.0, math.inf), (0.0,), _half_line, angle=True, closed=True),
-    "hplus": Family((0.0, math.inf), (1.0,), _half_line, angle=True, closed=True),
+    "h0": Family((0.0, math.inf), (0.0,), _half_line, angle=True,
+                 radial=Radial(0.0, lambda r: r * r, math.sqrt, math.inf)),
+    "hplus": Family((0.0, math.inf), (1.0,), _half_line, angle=True,
+                    radial=Radial(1.0, lambda chi: math.tanh(chi) ** 2,
+                                  lambda u: math.atanh(math.sqrt(u)), 1.0)),
     # sinh x + rho > 0
     "hminus": Family((-math.inf, math.inf), (), lambda rho: (math.asinh(-rho), math.inf)),
     "affine": Family((0.0, math.inf), (0.0,), _half_line),
@@ -75,7 +94,7 @@ class PhasePoint:
     p2: float
 
 
-def validate_model(family, rho, xi):
+def make_model(family, rho, xi):
     """Check (family, rho, xi) against the family's parameter domain.
 
     Returns the validated Model.  Raises DomainError naming the violated
@@ -94,10 +113,6 @@ def validate_model(family, rho, xi):
     if not lo < rho < hi:
         raise DomainError(f"{fam} family needs rho in ({lo:g}, {hi:g}), got {rho}")
     return Model(fam, rho, xi)
-
-
-def make_model(family, rho, xi):
-    return validate_model(family, rho, xi)
 
 
 def chart_margin(model, q1):

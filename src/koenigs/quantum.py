@@ -35,7 +35,7 @@ class Level:
 
 
 def _require_quantum(model):
-    if not FAMILY[model.family].closed:
+    if FAMILY[model.family].radial is None:
         raise DomainError(f"family '{model.family}' has no discrete spectrum here")
     if model.xi <= 0.0:
         raise DomainError(f"need a confining coupling xi > 0, got xi={model.xi}")
@@ -221,29 +221,7 @@ def count_bound_levels(model, m):
     return len(found)
 
 
-# -- radial problem descriptor and residuals --------------------------------
-
-@dataclass(frozen=True)
-class RadialProblem:
-    """Flux form -(p y')' + V y = E w y of a radial equation, with axis BC."""
-
-    model: object
-    m: int
-
-    def p(self, x):
-        return _flux_coefficients(self.model, self.m, np.asarray(x, dtype=float))[0]
-
-    def V(self, x):
-        return _flux_coefficients(self.model, self.m, np.asarray(x, dtype=float))[1]
-
-    def w(self, x):
-        return _flux_coefficients(self.model, self.m, np.asarray(x, dtype=float))[2]
-
-
-def radial_problem(model, m):
-    _require_quantum(model)
-    return RadialProblem(model=model, m=int(m))
-
+# -- residuals ---------------------------------------------------------------
 
 def _radial_wave(model, level, q):
     """Real radial factor of the eigenfunction on an array of q."""

@@ -160,13 +160,11 @@ def _regime(case):
 
 
 def _window(model, L):
-    """(E_plus, edge): the closed-orbit energy window of an h0 or hplus model at L."""
-    rho, xi = model.rho, model.xi
-    if model.family == "h0":
-        e_plus = L**2 * (-rho + math.sqrt(rho**2 + xi / L**2))
-    else:
-        e_plus = L * (math.sqrt(xi + rho * (rho - 1.0) * L**2) - (rho - 0.5) * L)
-    return e_plus, xi / (2.0 * rho)
+    """(E_plus, edge): the closed-orbit energy window of an h0 or hplus model at L.
+
+    The circular orbit at the bottom has J = L.
+    """
+    return actions_mod.energy_from_J(model, L), model.xi / (2.0 * model.rho)
 
 
 def _flow_case(case, tol=1e-10):

@@ -46,6 +46,18 @@ def test_hplus_closed_form_matches_quadrature(hplus_model):
         assert av.I_radial == pytest.approx(quad_val, rel=1e-8, abs=1e-12)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the 160-node Gauss-Legendre route loses the near-singular 1/u factor at small L "
+    "(off by 3.0e-7 on h0 and 5.3e-7 on hplus at L = 1e-3), so the routes disagree "
+    "and QuadratureFailure is raised; the adaptive route matches the closed form"
+))
+@pytest.mark.parametrize("family,rho,xi,E", [("h0", 0.8, 1.1, 0.6), ("hplus", 2.0, 8.0, 1.9)])
+def test_action_quadrature_small_angular_momentum(family, rho, xi, E):
+    model = make_model(family, rho, xi)
+    closed = action_variables(model, E, 1e-3).I_radial
+    assert action_quadrature(model, E, 1e-3) == pytest.approx(closed, rel=1e-8)
+
+
 def test_action_depends_only_on_J(h0_model, hplus_model):
     for model, L_pair, E in ((h0_model, (0.3, 0.5), 0.55), (hplus_model, (0.8, 1.0), 1.9)):
         js = [action_variables(model, E, L).J for L in L_pair]

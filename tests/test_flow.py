@@ -93,13 +93,15 @@ def test_hminus_edge_stops_the_run():
 def test_hminus_fall_into_the_edge_is_boundary_reached(p1, tol):
     # with xi < 0 dq1/dt blows up at sinh(x) + rho = 0: DOP853 gives up a few
     # 1e-8 inside the edge, or its event point lands beyond it; either way
-    # the reported point and the trajectory's last row lie inside the chart
+    # the reported point and the trajectory's last row lie inside the chart,
+    # and the partial trajectory's times stay strictly increasing
     model = make_model("hminus", 0.6, -0.5)
     for samples in (400, 0):
         with pytest.raises(BoundaryReached) as excinfo:
             integrate(model, PhasePoint(0.5, 0.0, p1, 0.0), 5.0, tol=tol, samples=samples)
         assert 0.0 < chart_margin(model, excinfo.value.point.q1) < 1e-6
         assert chart_margin(model, excinfo.value.trajectory.states[-1, 0]) > 0.0
+        assert np.all(np.diff(excinfo.value.trajectory.t) > 0)
 
 
 def test_trajectory_counts_solver_evaluations(h0_model):

@@ -1,17 +1,18 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from koenigs.errors import NoMotion, OutOfDomain
+from koenigs.errors import DomainError, NoMotion, OutOfDomain
 from koenigs.geodesics import (
     classify,
     curve_residual,
     radial_momentum_sq,
     start_point,
-    turning_points,
 )
-from koenigs.models import make_model
-from koenigs.verify import REGIME_CASES
+from koenigs.models import kernel, make_model
+from koenigs.verify import REGIME_CASES, _window
 
 
 @pytest.mark.parametrize("family,rho,xi,E,L,expected", REGIME_CASES)
@@ -90,10 +91,95 @@ def test_negative_energy_is_reflected():
     assert neg.turning_points[0] == pytest.approx(math.pi - pos.turning_points[0], abs=1e-12)
 
 
-def test_turning_points_helper_matches_regime():
-    model = make_model("hplus", 2.0, 8.0)
-    regime = classify(model, 1.8, 1.0)
-    assert turning_points(model, 1.8, 1.0) == pytest.approx(regime.turning_points)
+@pytest.mark.parametrize("family,rho,xi,E", [("h0", 0.8, 1.1, 0.6), ("hplus", 2.0, 8.0, 1.9)])
+@pytest.mark.parametrize("L", [1e-2, 1e-3, 1e-4, 1e-6, 1e-9])
+def test_turning_points_are_roots_at_small_angular_momentum(family, rho, xi, E, L):
+    # as L -> 0 the outer root written as L^2 / (A - sqrt(delta)) cancels
+    # (off by 1e-10 at L = 1e-3, dividing by zero at L = 1e-9); the Vieta
+    # form (A + sqrt(delta)) / (-sigma) keeps both roots to rounding
+    model = make_model(family, rho, xi)
+    regime = classify(model, E, L)
+    lo, hi = regime.turning_points
+    mid = math.sqrt(lo * hi)
+
+    def psq(q1):
+        return radial_momentum_sq(model, E, L, q1)
+
+    for t_pt, bracket in ((lo, (0.5 * lo, mid)), (hi, (mid, 2.0 * hi))):
+        root = brentq(psq, *bracket, xtol=1e-300, rtol=1e-15)
+        assert abs(t_pt - root) <= 1e-13 * root
+
+
+@pytest.mark.parametrize("family,rho,xi,E", [("h0", 0.8, -1.1, -0.6), ("hplus", 0.5, -2.0, -1.5)])
+@pytest.mark.parametrize("L", [1e-2, 1e-3, 1e-6])
+def test_open_turning_point_with_negative_A_is_a_root(family, rho, xi, E, L):
+    # open orbits with A < 0 (here sigma > 0): L^2 / (A + sqrt(delta))
+    # cancels, the sum form (sqrt(delta) - A) / sigma does not
+    model = make_model(family, rho, xi)
+    regime = classify(model, E, L)
+    assert regime.tag == "open" and regime.params["A"] < 0.0
+    (t_pt,) = regime.turning_points
+    root = brentq(lambda q1: radial_momentum_sq(model, E, L, q1), 0.5 * t_pt, 2.0 * t_pt,
+                  xtol=1e-300, rtol=1e-15)
+    assert abs(t_pt - root) <= 1e-13 * root
+
+
+def test_edge_band_drops_the_far_root():
+    # within 1e-12 of 2 rho E = xi the root at the chart's far edge is
+    # dropped: the orbit is open from L^2/(2A) on h0 and L^2/|sigma| on hplus
+    h0 = make_model("h0", 0.8, 1.1)
+    E = 1.1 / 1.6 * (1.0 - 1e-14)
+    regime = classify(h0, E, 0.5)
+    assert regime.tag == "open"
+    assert regime.turning_points[0] ** 2 == pytest.approx(0.25 / (2.0 * E), rel=1e-15)
+    hplus = make_model("hplus", 2.0, 8.0)
+    regime = classify(hplus, 2.0 - 1e-13, 1.0)
+    assert regime.tag == "open"
+    assert math.tanh(regime.turning_points[0]) ** 2 == pytest.approx(1.0 / 4.0, rel=1e-12)
+    for model, E, L in ((hplus, 2.0, 2.5), (make_model("h0", 0.8, -1.1), -1.1 / 1.6, 0.5)):
+        with pytest.raises(NoMotion):
+            classify(model, E, L)
+
+
+def test_h0_draw_next_to_the_edge_band_classifies():
+    # 2 rho E - xi lies just outside an edge band scaled by max(1, |rho E|, |xi|)
+    # alone; there the outer root written as L^2 / (E - sqrt(delta)) divides by zero
+    model = make_model("h0", 0.14232908664317406, 39.41910208301015)
+    regime = classify(model, 138.478729164435, 0.07470754388544995)
+    assert all(math.isfinite(t_pt) and t_pt > 0.0 for t_pt in regime.turning_points)
+
+
+def test_closed_families_seeded_sweep():
+    # beyond REGIME_CASES: turning points are roots, the closed window is
+    # (E_plus, xi / (2 rho)), and every regime's start point is on its curve
+    rng = np.random.default_rng(20261018)
+    for family in ("h0", "hplus"):
+        for _ in range(300):
+            rho = rng.uniform(0.1, 3.0)
+            xi = rng.uniform(0.05, 40.0)
+            L = rng.uniform(0.05, 2.0)
+            edge = xi / (2.0 * rho)
+            E = rng.uniform(-0.2, 1.3) * edge
+            model = make_model(family, rho, xi)
+            try:
+                e_plus, _ = _window(model, L)
+            except DomainError:
+                e_plus = math.inf  # hplus with L^2 >= xi / rho: no closed window
+            if min(abs(E - e_plus), abs(E - edge)) <= 1e-9 * edge:
+                continue
+            try:
+                regime = classify(model, E, L)
+            except NoMotion:
+                assert not e_plus < E < edge
+                continue
+            assert regime.closed == (e_plus < E < edge)
+            if regime.closed:
+                assert 0.0 <= regime.eccentricity < 1.0
+            for t_pt in regime.turning_points:
+                _, b, c = kernel(model, t_pt)
+                terms = abs(2.0 * E) + abs(b * L**2) + abs(c)
+                assert abs(2.0 * E - b * L**2 - c) <= 1e-12 * terms
+            assert curve_residual(regime, start_point(regime)) < 1e-9
 
 
 def test_curve_residual_rejects_points_outside_domain():

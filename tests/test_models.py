@@ -18,7 +18,6 @@ from koenigs.models import (
     make_point,
     metric_components,
     scalar_curvature,
-    validate_model,
 )
 from koenigs.verify import _VERIFY_MODELS
 
@@ -63,13 +62,13 @@ def test_hminus_chart_is_where_sinh_plus_rho_is_positive():
 )
 def test_constant_curvature_parameters_rejected(family, rho):
     with pytest.raises(ConstantCurvature):
-        validate_model(family, rho, 1.0)
+        make_model(family, rho, 1.0)
 
 
 @pytest.mark.parametrize("family,rho", [("trig", 1.3), ("trig", -0.2), ("h0", -1.0), ("affine", -0.5)])
 def test_out_of_range_rho_rejected(family, rho):
     with pytest.raises(DomainError):
-        validate_model(family, rho, 1.0)
+        make_model(family, rho, 1.0)
 
 
 def test_hminus_accepts_any_real_rho():

@@ -9,7 +9,6 @@ from koenigs.models import make_model
 from koenigs.quantum import (
     count_bound_levels,
     eigenfunction,
-    radial_problem,
     schrodinger_residual,
     shoot_eigenvalue,
     spectrum,
@@ -148,11 +147,6 @@ def test_eigenfunction_nodes_and_angular_factor():
     assert abs(v1 / v0 - np.exp(1j * 0.7)) < 1e-12
 
 
-def test_radial_problem_validation(h0_model):
-    prob = radial_problem(h0_model, 1)
-    assert prob.m == 1
-
-
 def _hand_flux_coefficients(model, m, x):
     # reference: the h0 and hplus radial operators derived by hand, times
     # twice the measure W r (h0) or W sinh(chi) / cosh(chi)^2 (hplus)
@@ -185,18 +179,19 @@ def test_flux_coefficients_annihilate_closed_form_wave(family, rho, xi, n, m):
     # -(p y')' + V y - E w y on the closed-form radial wave, by central differences
     model = make_model(family, rho, xi)
     lv = [l for l in spectrum(model, n, m) if (l.n, l.m) == (n, m)][0]
-    prob = radial_problem(model, m)
     x = np.linspace(0.2, 4.0, 200)
     h = 1e-4
 
     def flux(u):
-        return prob.p(u) * (quantum._radial_wave(model, lv, u + h / 2)
-                            - quantum._radial_wave(model, lv, u - h / 2)) / h
+        return quantum._flux_coefficients(model, m, u)[0] * (
+            quantum._radial_wave(model, lv, u + h / 2) - quantum._radial_wave(model, lv, u - h / 2)
+        ) / h
 
+    _, V, w = quantum._flux_coefficients(model, m, x)
     y = quantum._radial_wave(model, lv, x)
     div = (flux(x + h / 2) - flux(x - h / 2)) / h
-    res = -div + (prob.V(x) - lv.E * prob.w(x)) * y
-    scale = np.abs(div) + np.abs(prob.V(x) * y) + np.abs(lv.E * prob.w(x) * y)
+    res = -div + (V - lv.E * w) * y
+    scale = np.abs(div) + np.abs(V * y) + np.abs(lv.E * w * y)
     assert np.max(np.abs(res)) < 1e-5 * np.max(scale)
 
 
