@@ -117,6 +117,8 @@ def energy_from_J(model, J):
     """Invert J(E) on the closed window; DomainError off the window."""
     rho, xi = model.rho, model.xi
     if model.family == "h0":
+        if xi <= 0.0:
+            raise DomainError(f"h0 has closed orbits only for xi > 0, got xi = {xi}")
         if J <= 0.0:
             raise DomainError(f"need J > 0, got {J}")
         return J * (math.sqrt(xi + rho**2 * J**2) - rho * J)

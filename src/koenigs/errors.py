@@ -44,8 +44,9 @@ class OutOfDomain(KoenigsError):
 class BoundaryReached(KoenigsError):
     """Integration hit a chart edge.  Carries the partial result."""
 
-    def __init__(self, t, point, trajectory=None):
-        super().__init__(f"chart boundary reached at t={t:.6g}")
+    def __init__(self, t, point, trajectory=None, detail=None):
+        super().__init__(f"chart boundary reached at t={t:.6g}"
+                         + (f"; {detail}" if detail else ""))
         self.t = t
         self.point = point
         self.trajectory = trajectory

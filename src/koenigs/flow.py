@@ -9,11 +9,20 @@ The derivatives a', b', c' come from one complex-step evaluation of the
 kernel, Im kernel(q1 + ih) / h with h = 1e-30 (Squire & Trapp, SIAM Rev. 40,
 1998): exact to rounding, with no difference taken and no hand-derived
 formula.  So `models.kernel` must stay analytic in q1: no abs, maximum,
-comparisons or branches on q1.
+comparisons or branches on q1.  p2 is a constant of the motion, so the
+integrator carries (q1, q2, p1) and p2 rides along.
 
-Integration is adaptive explicit Runge-Kutta (DOP853).  It is not
-symplectic on purpose: runs are short and the four conserved quantities
-give a sharper correctness signal than long-time energy behavior would.
+Integration is adaptive explicit Runge-Kutta, DOP853 (Hairer, Norsett &
+Wanner, Solving Ordinary Differential Equations I, 2nd ed., 1993: II.4
+for the step control, II.6 for the dense output).  The loop is written
+here over Python floats.  The tableau is scipy's own
+(`scipy.integrate._ivp.dop853_coefficients`), and the initial step, error
+norm, step-size controller, dense output and event search are those of
+scipy's DOP853, so a run takes the same steps as scipy's integrator; the
+tests keep that integrator as the oracle.  It is not symplectic on
+purpose: runs are short and the four conserved quantities give a sharper
+correctness signal than long-time energy behavior would.
+
 Chart edges terminate the run with BoundaryReached; radial turning points
 are passed through naturally in phase space.  Where the flow runs into an
 edge faster than the step control can follow (hminus, where dq1/dt grows
@@ -26,7 +35,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.optimize import brentq
 
 from .errors import BoundaryReached, NotBounded, StepFailure
 from .models import FAMILY, PhasePoint, chart_margin, check_chart, kernel
@@ -39,12 +49,34 @@ _STEP = 1e-30
 _NEAR_EDGE = 1e-6
 
 
+def _sparse(row):
+    return tuple((i, float(a)) for i, a in enumerate(row) if a != 0.0)
+
+
+# scipy's DOP853 tableau as (index, coefficient) pairs without the zeros:
+# stages 1..11, the solution weights, the two error estimators, the three
+# extra stages of the dense output and its four interpolation rows
+_N = _dop.N_STAGES
+_A = tuple(_sparse(_dop.A[s, :s]) for s in range(1, _N))
+_B = _sparse(_dop.B)
+_E3 = _sparse(_dop.E3)
+_E5 = _sparse(_dop.E5)
+_A_EXTRA = tuple(_sparse(_dop.A[s, :s]) for s in range(_N + 1, _dop.N_STAGES_EXTENDED))
+_D = tuple(_sparse(row) for row in _dop.D)
+# scipy's controller constants; the error estimator has order 7
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
+# brentq's xtol = rtol in scipy's event root search
+_ROOT_TOL = 4.0 * np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class Trajectory:
     model: object
     t: np.ndarray          # strictly increasing sample times
     states: np.ndarray     # shape (len(t), 4): q1, q2, p1, p2
     nfev: int = 0          # right-hand side evaluations the solver made
+    accepted: int = 0      # accepted DOP853 steps
+    rejected: int = 0      # rejected DOP853 steps
 
     @property
     def samples(self):
@@ -61,97 +93,237 @@ class Trajectory:
         return conserved_set(self.model, z)
 
 
-def _rhs(model):
-    def f(t, z):
-        q1, q2, p1, p2 = z
-        a, b, c = kernel(model, complex(q1, _STEP))
+def _rhs(model, p2):
+    """(dq1, dq2, dp1)/dt at (q1, p1) as Python floats; dp2/dt is 0."""
+    def f(q1, p1):
+        a, b, c = map(complex, kernel(model, complex(q1, _STEP)))
         return (a.real * p1, b.real * p2,
-                -0.5 * (a.imag * p1**2 + b.imag * p2**2 + c.imag) / _STEP, 0.0)
+                -0.5 * (a.imag * p1**2 + b.imag * p2**2 + c.imag) / _STEP)
     return f
 
 
-def _edge_events(model, inside):
-    """Terminal events 1e-9 inside each finite edge of the chart.
+def _combine(row, K):
+    """sum of a_i K_i over a sparse tableau row, per component."""
+    x = y = z = 0.0
+    for i, a in row:
+        k = K[i]
+        x += a * k[0]
+        y += a * k[1]
+        z += a * k[2]
+    return x, y, z
 
-    solve_ivp evaluates the events at every accepted step and in its root
-    search, so they also keep in `inside` the latest (t, z) they saw
-    inside the chart.
+
+class _Dop853:
+    """scipy's DOP853 over Python floats for the state (q1, q2, p1).
+
+    The error norms run over all four components, with p2's error 0, so
+    the controller sees what scipy's sees.  `step` advances one accepted
+    step and returns False when the step size falls below 10 ulp(t);
+    `dense` is the 7th-order interpolant over the last accepted step.
     """
-    lo, hi = FAMILY[model.family].chart(model.rho)
 
-    def watching(gap):
-        def event(t, z):
-            if lo < z[0] < hi:
-                inside[:] = t, z
-            return gap(z[0])
+    def __init__(self, f, y, p2, t_end, tol):
+        self.f, self.t_end, self.tol = f, t_end, tol
+        self.t, self.y = 0.0, y
+        self.k = f(y[0], y[2])
+        self.nfev, self.accepted, self.rejected = 2, 0, 0
+        self.h_abs = self._initial_step(p2)
 
-        event.terminal = True
-        event.direction = -1.0
-        return event
+    def _initial_step(self, p2):
+        """scipy's select_initial_step (Hairer et al. II.4); one RHS call."""
+        y, k, f, t_end, tol = self.y, self.k, self.f, self.t_end, self.tol
+        scale = [tol + abs(v) * tol for v in y]
+        p2_scaled = p2 / (tol + abs(p2) * tol)
+        d0 = math.sqrt(sum((v / s) ** 2 for v, s in zip(y, scale)) + p2_scaled**2) / 2.0
+        d1 = math.sqrt(sum((v / s) ** 2 for v, s in zip(k, scale))) / 2.0
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, t_end)
+        k1 = f(y[0] + h0 * k[0], y[2] + h0 * k[2])
+        d2 = math.sqrt(sum(((v - w) / s) ** 2 for v, w, s in zip(k1, k, scale))) / 2.0 / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+        return min(100.0 * h0, h1, t_end)
 
-    events = [watching(lambda q1: q1 - (lo + _EDGE))]
-    if hi < math.inf:
-        events.append(watching(lambda q1: (hi - _EDGE) - q1))
-    return events
+    def step(self):
+        f, t, y, k0, tol = self.f, self.t, self.y, self.k, self.tol
+        q1, q2, p1 = y
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                self.h_abs = h_abs
+                return False
+            t_new = min(t + h_abs, self.t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            K = [k0]
+            for row in _A:
+                x, _, z = _combine(row, K)
+                K.append(f(q1 + x * h, p1 + z * h))
+            x, w, z = _combine(_B, K)
+            y_new = (q1 + h * x, q2 + h * w, p1 + h * z)
+            K.append(f(y_new[0], y_new[2]))
+            self.nfev += 12
+            n5 = n3 = 0.0
+            for e5, e3, v, w in zip(_combine(_E5, K), _combine(_E3, K), y, y_new):
+                scale = tol + max(abs(v), abs(w)) * tol
+                n5 += (e5 / scale) ** 2
+                n3 += (e3 / scale) ** 2
+            error_norm = 0.0 if n5 == 0.0 and n3 == 0.0 else \
+                h_abs * n5 / math.sqrt((n5 + 0.01 * n3) * 4.0)
+            if error_norm < 1.0:
+                factor = _MAX_FACTOR if error_norm == 0.0 else \
+                    min(_MAX_FACTOR, _SAFETY * error_norm**_EXPONENT)
+                if step_rejected:
+                    factor = min(1.0, factor)
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_EXPONENT)
+            step_rejected = True
+            self.rejected += 1
+        self.accepted += 1
+        self.h_abs = h_abs * factor
+        self.h, self.K = h, K
+        self.t_old, self.y_old = t, y
+        self.t, self.y, self.k = t_new, y_new, K[-1]
+        return True
+
+    def dense(self):
+        """Interpolant s -> (q1, q2, p1) over the last step; three RHS calls."""
+        f, h, K, y_old = self.f, self.h, self.K, self.y_old
+        for row in _A_EXTRA:
+            x, _, z = _combine(row, K)
+            K.append(f(y_old[0] + x * h, y_old[2] + z * h))
+        self.nfev += 3
+        dy = [v - u for v, u in zip(self.y, y_old)]
+        F = [dy,
+             [h * fo - d for fo, d in zip(K[0], dy)],
+             [2.0 * d - h * (fn + fo) for d, fn, fo in zip(dy, self.k, K[0])]]
+        F += [[h * c for c in _combine(row, K)] for row in _D]
+        columns = tuple(zip(*F, y_old))
+        t_old, span = self.t_old, self.t - self.t_old
+
+        def sol(s):
+            # scipy's Dop853DenseOutput: F6..F0 nested with x and 1 - x in turn
+            x = (s - t_old) / span
+            m = 1.0 - x
+            return tuple(((((((f6 * x + f5) * m + f4) * x + f3) * m + f2) * x + f1) * m + f0) * x + u
+                         for f0, f1, f2, f3, f4, f5, f6, u in columns)
+        return sol
 
 
-def _solve(model, initial, t_end, tol, samples, events):
+def _solve(model, initial, t_end, tol, samples, stop=None):
+    """DOP853 run from `initial`; returns (trajectory, hit).
+
+    `stop(y)` is an optional extra terminal event on (q1, q2, p1), caught
+    on a downward zero crossing like the edge events; `hit` is (t, state)
+    where it fired, or None.  Events are found as scipy finds them: a
+    sign change between accepted steps, then brentq on the interpolant.
+    """
     check_chart(model, initial.q1)
-    if tol <= 0:
-        raise StepFailure("integration tolerance must be positive")
-    y0 = (initial.q1, initial.q2, initial.p1, initial.p2)
-    inside = [0.0, y0]
-    edge = _edge_events(model, inside)
-    t_eval = np.linspace(0.0, t_end, samples) if samples else None
-    sol = solve_ivp(
-        _rhs(model), (0.0, t_end), y0, method="DOP853",
-        rtol=tol, atol=tol, t_eval=t_eval, events=edge + list(events or ()),
-        dense_output=False,
-    )
-    # solve_ivp leaves t/y as empty lists when a terminal event fires
-    # before the first requested sample
-    ts = np.array(sol.t, dtype=float)
-    ys = np.array(sol.y, dtype=float).reshape(4, -1).T
+    if not (tol > 0 and t_end > 0):
+        raise StepFailure(f"integration span and tolerance must be positive, got {t_end}, {tol}")
+    lo, hi = FAMILY[model.family].chart(model.rho)
+    gaps = [lambda y: y[0] - (lo + _EDGE)]
+    if hi < math.inf:
+        gaps.append(lambda y: (hi - _EDGE) - y[0])
+    n_edge = len(gaps)
+    if stop is not None:
+        gaps.append(stop)
+    p2 = initial.p2
+    y = (initial.q1, initial.q2, initial.p1)
+    solver = _Dop853(_rhs(model, p2), y, p2, t_end, tol)
+    grid = np.linspace(0.0, t_end, samples).tolist()
+    ts, ys = ([], []) if samples else ([0.0], [y])
+    n_out = 0           # samples written so far
+    inside = (0.0, y)   # the latest accepted or root-search state in the chart
+    g = [gap(y) for gap in gaps]
+    hit = None
 
     def trajectory():
+        states = np.empty((len(ts), 4))
+        states[:, :3] = np.reshape(ys, (-1, 3))   # no row if the first step fails
+        states[:, 3] = p2
         # near an edge DOP853's steps can fall below the spacing of t; a row
         # whose time equals the next row's time is dropped
         keep = np.diff(ts, append=np.inf) > 0.0
-        return Trajectory(model, ts[keep], ys[keep], int(sol.nfev))
+        return Trajectory(model, np.array(ts)[keep], states[keep],
+                          solver.nfev, solver.accepted, solver.rejected)
 
-    if sol.status == -1:
-        if chart_margin(model, inside[1][0]) < _NEAR_EDGE:
-            raise BoundaryReached(inside[0], PhasePoint(*inside[1]), trajectory())
-        raise StepFailure(f"integrator failed: {sol.message}")
-    if sol.status == 1:
-        edge_hits = [te for te in sol.t_events[: len(edge)] if len(te)]
-        if edge_hits:
-            t_hit = min(te[0] for te in edge_hits)
-            idx = next(
-                i for i, te in enumerate(sol.t_events[: len(edge)])
-                if len(te) and te[0] == t_hit
-            )
-            z = sol.y_events[idx][0]
-            if not chart_margin(model, z[0]) > 0.0:
-                t_hit, z = inside
-                if not samples:  # the event point is also the last row
-                    ts[-1], ys[-1] = t_hit, z
-            raise BoundaryReached(t_hit, PhasePoint(*z), trajectory())
-    return trajectory(), sol
+    def root(i, sol):
+        def gap(s):
+            nonlocal inside
+            z = sol(s)
+            if i < n_edge and lo < z[0] < hi:
+                inside = (s, z)
+            return gaps[i](z)
+        return brentq(gap, solver.t_old, solver.t, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+
+    while solver.t < t_end:
+        if not solver.step():
+            margin = chart_margin(model, inside[1][0])
+            detail = (f"DOP853 gave up at t={solver.t!r}: step {solver.h_abs:.3e} "
+                      f"below 10 ulp(t), chart_margin {margin:.3e} at the last "
+                      f"state inside the chart (t={inside[0]!r})")
+            if margin < _NEAR_EDGE:
+                raise BoundaryReached(inside[0], PhasePoint(*inside[1], p2),
+                                      trajectory(), detail)
+            raise StepFailure(detail)
+        t, y = solver.t, solver.y
+        if lo < y[0] < hi:
+            inside = (t, y)
+        g_new = [gap(y) for gap in gaps]
+        active = [i for i, (a, b) in enumerate(zip(g, g_new)) if a >= 0.0 >= b]
+        g = g_new
+        sol = None
+        if active:
+            sol = solver.dense()
+            t, i = min((root(i, sol), i) for i in active)
+            y = sol(t)
+            hit = i, t, y
+        if samples:
+            while n_out < samples and grid[n_out] <= t:
+                sol = sol or solver.dense()
+                ts.append(grid[n_out])
+                ys.append(sol(grid[n_out]))
+                n_out += 1
+        else:
+            ts.append(t)
+            ys.append(y)
+        if hit is not None:
+            break
+
+    if hit is None:
+        return trajectory(), None
+    i, t_hit, z = hit
+    if i >= n_edge:
+        return trajectory(), (t_hit, PhasePoint(*z, p2))
+    if not chart_margin(model, z[0]) > 0.0:
+        t_hit, z = inside
+        if not samples:  # the event point is also the last row
+            ts[-1], ys[-1] = t_hit, z
+    raise BoundaryReached(t_hit, PhasePoint(*z, p2), trajectory())
 
 
 def integrate(model, initial, t_end, tol=1e-10, samples=400):
     """Trajectory of the Hamiltonian flow from `initial` over [0, t_end].
 
-    tol is both the relative and absolute integrator tolerance, so the
-    per-step error stays at or below it.  The run raises BoundaryReached
-    (with the partial trajectory attached) if a chart edge is approached
-    within 1e-9, or if the solver gives up within 1e-6 of one, and
-    StepFailure if it gives up elsewhere.  `samples` fixes the output grid;
-    samples=0 returns the solver's own accepted steps.  The trajectory's
-    `nfev` counts the right-hand side evaluations.
+    tol is both the relative and absolute DOP853 tolerance.  The step
+    control bounds the RMS over the four components of
+    err / (tol * (1 + |z|)), the local error estimate scaled per
+    component, by 1; it does not bound each component's per-step error,
+    and one component can reach 2 * tol (1 + |z|).  The run raises
+    BoundaryReached (with the partial trajectory attached) if a chart edge
+    is approached within 1e-9, or if the solver gives up within 1e-6 of
+    one, and StepFailure if it gives up elsewhere; either message names t,
+    the step size and the chart margin.  `samples` fixes the output grid;
+    samples=0 returns the solver's own accepted steps.  The trajectory
+    counts the right-hand side evaluations (`nfev`) and the `accepted`
+    and `rejected` steps.
     """
-    traj, _ = _solve(model, initial, t_end, tol, samples, None)
+    traj, _ = _solve(model, initial, t_end, tol, samples)
     return traj
 
 
@@ -214,21 +386,14 @@ def closure_test(model, E, L, tol=1e-5):
 
     # p1 rises from exactly 0 at launch, so only the aphelion crossing
     # (downward) is sign-safe to detect by event
-    def aphelion(t, z):
-        return z[2]
-
-    aphelion.terminal = True
-    aphelion.direction = -1.0
-
     start = PhasePoint(r0, 0.0, 0.0, L)
     t_max = 10.0 * t_ang
     t_r = None
     for _ in range(6):
-        _, sol = _solve(model, start, t_max, itol, 0, [aphelion])
-        hits = sol.t_events[-1]
-        if len(hits):
-            t_r = 2.0 * float(hits[0])
-            advance = 2.0 * float(sol.y_events[-1][0][1])
+        _, hit = _solve(model, start, t_max, itol, 0, stop=lambda y: y[2])
+        if hit is not None:
+            t_r = 2.0 * hit[0]
+            advance = 2.0 * hit[1].q2
             break
         t_max *= 8.0
     if t_r is None:

@@ -113,6 +113,14 @@ def test_energy_from_J_domain(h0_model, hplus_model):
         energy_from_J(hplus_model, math.sqrt(hplus_model.xi / hplus_model.rho) + 0.1)
 
 
+@pytest.mark.parametrize("xi", [-1.1, -0.1, 0.0])
+def test_energy_from_J_rejects_h0_without_closed_orbits(xi):
+    # xi < -rho^2 J^2 once took the square root of a negative number, and
+    # -rho^2 J^2 <= xi <= 0 returned an energy with no closed orbit
+    with pytest.raises(DomainError):
+        energy_from_J(make_model("h0", 0.8, xi), 0.5)
+
+
 def test_torus_values_match_conserved_set_at_perihelion(h0_model):
     L = 0.5
     lo, hi = _h0_window(h0_model, L)

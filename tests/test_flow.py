@@ -1,20 +1,23 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from koenigs.errors import BoundaryReached, NotBounded
 from koenigs.flow import _rhs, closure_test, drift_report, integrate
 from koenigs.geodesics import classify, curve_residual, start_point
 from koenigs.models import (
     FAMILIES,
+    FAMILY,
     PhasePoint,
     chart_margin,
     hamiltonian,
     make_model,
     make_point,
 )
-from koenigs.verify import _VERIFY_MODELS, _random_points
+from koenigs.verify import REGIME_CASES, _VERIFY_MODELS, _random_points, _regime, flow_span
 
 
 def test_drift_small_on_long_bounded_run(h0_model):
@@ -63,9 +66,8 @@ def test_rhs_matches_central_differences_of_hamiltonian(family):
     # central difference of H: -dH/dq1, dH/dp1, dH/dp2
     model = _VERIFY_MODELS[family]
     pts = _random_points(model, np.random.default_rng(11), 100)
-    f = _rhs(model)
     for q1, q2, p1, p2 in zip(pts.q1, pts.q2, pts.p1, pts.p2):
-        dq1, dq2, dp1, _ = f(0.0, (q1, q2, p1, p2))
+        dq1, dq2, dp1 = _rhs(model, p2)(q1, p1)
 
         def dH(i):
             z = [q1, q2, p1, p2]
@@ -105,10 +107,90 @@ def test_hminus_fall_into_the_edge_is_boundary_reached(p1, tol):
 
 
 def test_trajectory_counts_solver_evaluations(h0_model):
-    # DOP853 makes 12 evaluations per accepted step, more for rejected ones
+    # two evaluations pick the first step, then 12 per attempted step; with
+    # samples=0 and no event no interpolant is built
     regime = classify(h0_model, 0.5, 0.5)
     traj = integrate(h0_model, start_point(regime), 30.0, tol=1e-10, samples=0)
-    assert traj.nfev >= 12 * (len(traj.t) - 1)
+    assert traj.nfev == 2 + 12 * (traj.accepted + traj.rejected)
+    assert len(traj.t) == traj.accepted + 1
+    assert (traj.accepted, traj.rejected, traj.nfev) == (89, 29, 1418)
+
+
+def _oracle(model, start, t_end, tol, samples):
+    """scipy's own DOP853 on the same right-hand side and edge events."""
+    f = _rhs(model, start.p2)
+    lo, hi = FAMILY[model.family].chart(model.rho)
+    gaps = [lambda t, z: z[0] - (lo + 1e-9)]
+    if hi < math.inf:
+        gaps.append(lambda t, z: (hi - 1e-9) - z[0])
+    for gap in gaps:
+        gap.terminal, gap.direction = True, -1.0
+    return solve_ivp(lambda t, z: (*f(z[0], z[2]), 0.0), (0.0, t_end),
+                     [start.q1, start.q2, start.p1, start.p2],
+                     method="DOP853", rtol=tol, atol=tol, events=gaps,
+                     t_eval=np.linspace(0.0, t_end, samples) if samples else None)
+
+
+def _regime_run(case, samples):
+    model, regime = _regime(case)
+    start = start_point(regime)
+    span = flow_span(case[5], case[3])
+    return integrate(model, start, span, tol=1e-10, samples=samples), \
+        _oracle(model, start, span, 1e-10, samples)
+
+
+@pytest.mark.parametrize("case", REGIME_CASES, ids=lambda c: f"{c[0]}-{c[5]}")
+def test_steps_match_solve_ivp(case):
+    # same tableau and controller: the same steps and evaluations, and the
+    # same end state up to rounding
+    traj, sol = _regime_run(case, 0)
+    assert sol.status == 0
+    assert traj.accepted == len(sol.t) - 1
+    assert traj.nfev == sol.nfev
+    want = sol.y[:, -1]
+    assert np.all(np.abs(traj.states[-1] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("case", REGIME_CASES, ids=lambda c: f"{c[0]}-{c[5]}")
+def test_samples_match_solve_ivp(case):
+    traj, sol = _regime_run(case, 50)
+    want = sol.y.T
+    np.testing.assert_array_equal(traj.t, sol.t)
+    assert np.all(np.abs(traj.states - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def _edge_run(name):
+    if name == "trig-e0_arcs-8x":
+        model, regime = _regime(REGIME_CASES[0])
+        return model, start_point(regime), 8.0 * flow_span("e0_arcs", 0.0), 1e-10
+    return make_model("hminus", 0.6, -0.5), PhasePoint(0.5, 0.0, -3.0, 0.0), 5.0, 1e-8
+
+
+@pytest.mark.parametrize("name", ["trig-e0_arcs-8x", "hminus-fall"])
+def test_edge_time_matches_solve_ivp(name):
+    model, start, span, tol = _edge_run(name)
+    with pytest.raises(BoundaryReached) as excinfo:
+        integrate(model, start, span, tol=tol, samples=0)
+    sol = _oracle(model, start, span, tol, 0)
+    (t_event,) = [te[0] for te in sol.t_events if len(te)]
+    assert abs(excinfo.value.t - t_event) <= 1e-12
+
+
+def test_solver_failure_names_where_it_happened():
+    # DOP853 gives up a few 1e-8 inside the hminus edge: the message gives
+    # t, the step that fell below 10 ulp(t) and the margin of the last
+    # state inside the chart
+    model = make_model("hminus", 0.6, -0.5)
+    with pytest.raises(BoundaryReached) as excinfo:
+        integrate(model, PhasePoint(0.5, 0.0, -3.0, 0.0), 5.0, tol=1e-10, samples=0)
+    reached = excinfo.value
+    where = re.search(r"gave up at t=(\S+): step (\S+) below 10 ulp\(t\), "
+                      r"chart_margin (\S+) at the last state inside", str(reached))
+    t, step, margin = map(float, where.groups())
+    assert t == reached.trajectory.t[-1]
+    assert 0.0 < step < 10.0 * math.ulp(t)
+    assert 0.0 < margin < 1e-6
+    assert margin == pytest.approx(chart_margin(model, reached.point.q1), rel=1e-3)
 
 
 def test_trig_orbit_reaches_the_pi_edge(trig_model):
