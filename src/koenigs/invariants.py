@@ -6,6 +6,11 @@ for the bracket are in circulation; everything here uses the canonical
 tabulated algebra with arguments swapped where its convention is the
 reversed one.  All brackets are finite-difference estimates, which keeps
 the integral formulas and the algebra checks independent of each other.
+
+Brackets come from one central-difference pass over a tuple-valued
+function: eight evaluations give the gradient of every entry, so the
+brackets among a set of functions at a point set share one stencil.
+Points may carry scalars or equal-shape arrays throughout.
 """
 
 from dataclasses import dataclass
@@ -72,9 +77,13 @@ def second_integrals(model, point):
 
 
 def conserved_set(model, point):
-    E = hamiltonian(model, point)
+    return ConservedSet(*_conserved_values(model, point))
+
+
+def _conserved_values(model, point):
+    """The tuple (E, L, S1, S2) at a phase point, in the order of ConservedSet."""
     s1, s2 = second_integrals(model, point)
-    return ConservedSet(E=E, L=point.p2, S1=s1, S2=s2)
+    return hamiltonian(model, point), point.p2, s1, s2
 
 
 def conserved_functions(model):
@@ -87,13 +96,15 @@ def conserved_functions(model):
     }
 
 
-def poisson_bracket(f, g, point, h=1e-5, model=None):
-    """Canonical bracket {f, g} by central differences with step h.
+def _gradients(func, point, h=1e-5, model=None):
+    """Central-difference gradients of every entry of a tuple-valued func.
 
-    The step in each coordinate is h scaled by max(1, |coordinate|).
+    One stencil pass: func is evaluated at the eight points point +- s_i e_i,
+    s_i = h * max(1, |z_i|), and each entry's gradient is returned as
+    (d/dq1, d/dq2, d/dp1, d/dp2), one tuple per entry of func's value.
     When a model is supplied the q1 stencil is checked against the chart
-    and ChartError is raised if it would leave it.  Works elementwise
-    when the point carries arrays.
+    and ChartError is raised if it would leave it.  Works elementwise when
+    the point carries arrays.
     """
     z = (point.q1, point.q2, point.p1, point.p2)
     steps = [h * np.maximum(1.0, np.abs(v)) for v in z]
@@ -110,51 +121,68 @@ def poisson_bracket(f, g, point, h=1e-5, model=None):
         w[i] = w[i] + s
         return PhasePoint(*w)
 
-    def grad(func):
-        return [
-            (func(shift(i, steps[i])) - func(shift(i, -steps[i]))) / (2.0 * steps[i])
-            for i in range(4)
-        ]
+    columns = []
+    for i in range(4):
+        plus, minus = func(shift(i, steps[i])), func(shift(i, -steps[i]))
+        columns.append([(a - b) / (2.0 * steps[i]) for a, b in zip(plus, minus)])
+    return tuple(zip(*columns))
 
-    fq1, fq2, fp1, fp2 = grad(f)
-    gq1, gq2, gp1, gp2 = grad(g)
+
+def _bracket(df, dg):
+    """Canonical bracket {f, g} from the gradients df, dg of `_gradients`."""
+    fq1, fq2, fp1, fp2 = df
+    gq1, gq2, gp1, gp2 = dg
     return fq1 * gp1 + fq2 * gp2 - fp1 * gq1 - fp2 * gq2
 
 
+def poisson_bracket(f, g, point, h=1e-5, model=None):
+    """Canonical bracket {f, g} by central differences with step h.
+
+    One `_gradients` pass over (f, g): 16 evaluations, with the step in
+    each coordinate h scaled by max(1, |coordinate|).  When a model is
+    supplied the q1 stencil is checked against the chart and ChartError is
+    raised if it would leave it.  Works elementwise when the point carries
+    arrays.
+    """
+    return _bracket(*_gradients(lambda z: (f(z), g(z)), point, h=h, model=model))
+
+
 def _rel(residual, *terms):
-    scale = max(1.0, *(abs(float(t)) for t in terms))
-    return abs(float(residual)) / scale
+    scale = 1.0
+    for t in terms:
+        scale = np.maximum(scale, np.abs(t))
+    return np.abs(residual) / scale
 
 
 def algebra_residuals(model, point, h=1e-5):
     """Residuals |LHS - RHS| of the family's algebra relations.
 
-    Bracket relations use the finite-difference bracket with arguments
-    swapped relative to the canonical ordering (the convention the
-    relations tabulated here assume); algebraic identities are evaluated
-    exactly.  All residuals are relative to max(1, |terms|).
+    Every bracket comes from one `_gradients` pass over (H, L, S1, S2):
+    eight evaluations of the conserved set.  Bracket relations use the
+    finite-difference bracket with arguments swapped relative to the
+    canonical ordering (the convention the relations tabulated here
+    assume); algebraic identities are evaluated exactly.  All residuals
+    are relative to max(1, |terms|), elementwise when the point carries
+    arrays.
     """
     fam = model.family
-    obs = conserved_functions(model)
-    H, Lf, S1f, S2f = obs["E"], obs["L"], obs["S1"], obs["S2"]
+    dH, dL, dS1, dS2 = _gradients(lambda z: _conserved_values(model, z), point, h=h, model=model)
 
-    def pb_rev(f, g):
+    def pb_rev(df, dg):
         # the tabulated algebra uses the reversed argument order
-        return poisson_bracket(g, f, point, h=h, model=model)
+        return _bracket(dg, df)
 
-    E = hamiltonian(model, point)
-    L = point.p2
-    s1, s2 = second_integrals(model, point)
+    E, L, s1, s2 = _conserved_values(model, point)
     out = {
-        "dH_L": _rel(pb_rev(H, Lf), E, L),
-        "dH_S1": _rel(pb_rev(H, S1f), E, s1),
-        "dH_S2": _rel(pb_rev(H, S2f), E, s2),
+        "dH_L": _rel(pb_rev(dH, dL), E, L),
+        "dH_S1": _rel(pb_rev(dH, dS1), E, s1),
+        "dH_S2": _rel(pb_rev(dH, dS2), E, s2),
     }
     rho, xi = model.rho, model.xi
     if fam == "trig":
         # eigen relations of Q -> {P_y, Q} and the cosh/sinh recombination
-        out["eigen_plus"] = _rel(poisson_bracket(S1f, Lf, point, h=h, model=model) - s1, s1)
-        out["eigen_minus"] = _rel(poisson_bracket(S2f, Lf, point, h=h, model=model) + s2, s2)
+        out["eigen_plus"] = _rel(_bracket(dS1, dL) - s1, s1)
+        out["eigen_minus"] = _rel(_bracket(dS2, dL) + s2, s2)
         x, y = point.q1, point.q2
         lhs = 0.5 * (s1 + s2) * np.cosh(y) - 0.5 * (s1 - s2) * np.sinh(y)
         rhs = L**2 * np.cos(x) - rho * E
@@ -169,21 +197,21 @@ def algebra_residuals(model, point, h=1e-5):
         rhs = E - D * L**2
         out["recombination"] = _rel(lhs - rhs, lhs, rhs)
     elif fam == "hminus":
-        out["w_L_S1"] = _rel(pb_rev(Lf, S1f) - s2, s1, s2)
-        out["w_L_S2"] = _rel(pb_rev(Lf, S2f) + s1, s1, s2)
+        out["w_L_S1"] = _rel(pb_rev(dL, dS1) - s2, s1, s2)
+        out["w_L_S2"] = _rel(pb_rev(dL, dS2) + s1, s1, s2)
         # cubic bracket and quartic Casimir; the relative sign of
         # (2 rho H - xi) is the one that actually closes (checked against
         # FD brackets and exact expansion)
         rhs = L * (2.0 * L**2 - 2.0 * rho * E + xi)
-        out["w_S1_S2"] = _rel(pb_rev(S1f, S2f) - rhs, rhs, s1 * s2)
+        out["w_S1_S2"] = _rel(pb_rev(dS1, dS2) - rhs, rhs, s1 * s2)
         cas = s1**2 + s2**2 - (E**2 - L**4 - L**2 * (xi - 2.0 * rho * E))
         out["casimir"] = _rel(cas, s1**2, s2**2, E**2)
     elif fam == "affine":
-        out["w_L_S2"] = _rel(pb_rev(Lf, S2f) - s1, s1, s2)
+        out["w_L_S2"] = _rel(pb_rev(dL, dS2) - s1, s1, s2)
         rhs1 = L**2 - 2.0 * rho * E
-        out["w_L_S1"] = _rel(pb_rev(Lf, S1f) - rhs1, s1, rhs1)
+        out["w_L_S1"] = _rel(pb_rev(dL, dS1) - rhs1, s1, rhs1)
         rhs12 = (2.0 * s2 + 2.0 * E - xi) * L
-        out["w_S1_S2"] = _rel(pb_rev(S1f, S2f) - rhs12, rhs12, s1, s2)
+        out["w_S1_S2"] = _rel(pb_rev(dS1, dS2) - rhs12, rhs12, s1, s2)
         cas = s1**2 + 2.0 * (2.0 * rho * E - L**2) * s2 - (2.0 * E - xi) * L**2
         out["casimir"] = _rel(cas, s1**2, s2**2, E**2)
     return out

@@ -5,8 +5,11 @@ stable for n <= 50 and |x| <= 1e3.  The basis-change coefficients connect
 the polar eigenfunctions Psi_{n,m} of the isotropic oscillator to the
 Cartesian products H_{n1} H_{n2}; a two-dimensional quadrature oracle is
 the arbiter for every sign and normalization convention in that table.
+Its Gauss-Laguerre rule is built once per node count and cached, with
+read-only arrays, in a bounded cache.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -150,6 +153,15 @@ def _cartesian_mode(n1, n2, zeta, phi):
     return np.exp(-zeta / 2.0) * hermite(n1, s * np.cos(phi)) * hermite(n2, s * np.sin(phi))
 
 
+@functools.lru_cache(maxsize=16)
+def _laguerre_rule(n_nodes):
+    """Read-only (nodes, weights) of the n_nodes-point Gauss-Laguerre rule."""
+    nodes, weights = np.polynomial.laguerre.laggauss(n_nodes)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def coefficient_oracle(n, m, n1, n2):
     """c^{n1,n2}_{n,m} via direct 2D quadrature against H_{n1,n2}.
 
@@ -165,7 +177,7 @@ def coefficient_oracle(n, m, n1, n2):
     deg = 2 * n + abs(m) + n1 + n2
     n_zeta = max(48, deg + 8)
     n_phi = max(16, 8 * (deg + 1))
-    nodes, weights = np.polynomial.laguerre.laggauss(n_zeta)
+    nodes, weights = _laguerre_rule(n_zeta)
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     Z, P = np.meshgrid(nodes, phi, indexing="ij")
     # weight e^{-zeta} is the Gauss-Laguerre measure; the two e^{-zeta/2}

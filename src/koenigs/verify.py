@@ -33,10 +33,11 @@ from .errors import BoundaryReached, NoMotion
 from .flow import drift_report, integrate
 from .geodesics import classify, curve_residual, radial_momentum_sq, start_point
 from .invariants import (
+    _bracket,
+    _conserved_values,
+    _gradients,
     algebra_residuals,
-    conserved_functions,
     conserved_set,
-    poisson_bracket,
 )
 from .models import (
     PhasePoint,
@@ -145,14 +146,6 @@ def _random_points(model, rng, n):
     return PhasePoint(q1=q1, q2=q2, p1=p1, p2=p2)
 
 
-def _point(pts, idx):
-    """The idx-th scalar PhasePoint of an array-valued one."""
-    return PhasePoint(
-        q1=float(pts.q1[idx]), q2=float(pts.q2[idx]),
-        p1=float(pts.p1[idx]), p2=float(pts.p2[idx]),
-    )
-
-
 def _regime(case):
     family, rho, xi, E, L, _ = case
     model = make_model(family, rho, xi)
@@ -222,30 +215,25 @@ def _check_embed_hyperboloid(rng):
 
 def _check_generator_algebra(rng):
     worst = 0.0
-
-    def gfun(model, i):
-        return lambda pt: generators(model, pt)[i]
-
     for fam in ("trig", "h0", "hplus", "affine"):
         model = _VERIFY_MODELS[fam]
         pts = _random_points(model, rng, 30)
-        for idx in range(30):
-            pt = _point(pts, idx)
-            g_vals = generators(model, pt)
+        g_vals = generators(model, pts)
+        grads = _gradients(lambda z: generators(model, z), pts, model=model)
 
-            def pb(i, j):
-                # tabulated relations use the reversed ordering convention
-                return poisson_bracket(gfun(model, j), gfun(model, i), pt, model=model)
+        def pb(i, j):
+            # tabulated relations use the reversed ordering convention
+            return _bracket(grads[j], grads[i])
 
-            if fam == "h0":
-                residuals = (pb(0, 1), pb(2, 0) + g_vals[1], pb(2, 1) - g_vals[0])
-            else:
-                residuals = (
-                    pb(0, 1) - g_vals[2],
-                    pb(1, 2) + g_vals[0],
-                    pb(2, 0) + g_vals[1],
-                )
-            worst = max(worst, max(abs(float(r)) for r in residuals))
+        if fam == "h0":
+            residuals = (pb(0, 1), pb(2, 0) + g_vals[1], pb(2, 1) - g_vals[0])
+        else:
+            residuals = (
+                pb(0, 1) - g_vals[2],
+                pb(1, 2) + g_vals[0],
+                pb(2, 0) + g_vals[1],
+            )
+        worst = max(worst, *(float(np.max(np.abs(r))) for r in residuals))
     return worst
 
 
@@ -267,12 +255,11 @@ def _check_conservation_brackets(rng):
     worst = 0.0
     for model in _VERIFY_MODELS.values():
         pts = _random_points(model, rng, 1000)
-        funcs = conserved_functions(model)
-        h_func = lambda pt, m=model: hamiltonian(m, pt)
-        e_vals = hamiltonian(model, pts)
-        for name in ("L", "S1", "S2"):
-            vals = poisson_bracket(h_func, funcs[name], pts, model=model)
-            scale = np.maximum(1.0, np.maximum(np.abs(e_vals), np.abs(funcs[name](pts))))
+        values = _conserved_values(model, pts)
+        grads = _gradients(lambda z: _conserved_values(model, z), pts, model=model)
+        for k in (1, 2, 3):  # L, S1, S2 against E
+            vals = _bracket(grads[0], grads[k])
+            scale = np.maximum(1.0, np.maximum(np.abs(values[0]), np.abs(values[k])))
             worst = max(worst, float(np.max(np.abs(vals) / scale)))
     return worst
 
@@ -283,13 +270,12 @@ def _check_algebra_identities(rng):
     worst_exact = 0.0
     worst_bracket = 0.0
     for model in _VERIFY_MODELS.values():
-        pts = _random_points(model, rng, 40)
-        for idx in range(40):
-            for key, val in algebra_residuals(model, _point(pts, idx)).items():
-                if key in ("recombination", "casimir"):
-                    worst_exact = max(worst_exact, abs(val))
-                elif key in ("w_L_S1", "w_L_S2", "w_S1_S2"):
-                    worst_bracket = max(worst_bracket, abs(val))
+        res = algebra_residuals(model, _random_points(model, rng, 40))
+        for key, val in res.items():
+            if key in ("recombination", "casimir"):
+                worst_exact = max(worst_exact, float(np.max(val)))
+            elif key in ("w_L_S1", "w_L_S2", "w_S1_S2"):
+                worst_bracket = max(worst_bracket, float(np.max(val)))
     if not worst_bracket < 1e-7:
         raise AssertionError(f"bracket relations {worst_bracket:.3e} (bound 1e-7)")
     return worst_exact
@@ -297,12 +283,8 @@ def _check_algebra_identities(rng):
 
 def _check_trig_eigen(rng):
     model = _VERIFY_MODELS["trig"]
-    pts = _random_points(model, rng, 60)
-    worst = 0.0
-    for idx in range(60):
-        res = algebra_residuals(model, _point(pts, idx))
-        worst = max(worst, abs(res["eigen_plus"]), abs(res["eigen_minus"]))
-    return worst
+    res = algebra_residuals(model, _random_points(model, rng, 60))
+    return float(max(np.max(res["eigen_plus"]), np.max(res["eigen_minus"])))
 
 
 # -- geodesics ----------------------------------------------------------------

@@ -12,6 +12,7 @@ from koenigs.invariants import (
 )
 from koenigs.errors import ChartError
 from koenigs.models import PhasePoint, make_model, make_point
+from koenigs.verify import _VERIFY_MODELS, _random_points
 
 
 def test_trig_conserved_set_direct_substitution():
@@ -118,3 +119,53 @@ def test_diagnostics_vectorize():
     assert cs.E.shape == (2,)
     single = conserved_set(model, PhasePoint(0.8, 0.1, 0.3, 1.0))
     assert cs.S1[0] == pytest.approx(single.S1, rel=1e-14)
+
+
+def _stencil_reference(f, g, point, h=1e-5):
+    # the 16-evaluation central-difference bracket, written out per function
+    z = (point.q1, point.q2, point.p1, point.p2)
+
+    def grad(func):
+        out = []
+        for i in range(4):
+            s = h * np.maximum(1.0, np.abs(z[i]))
+            up, down = list(z), list(z)
+            up[i] = up[i] + s
+            down[i] = down[i] - s
+            out.append((func(PhasePoint(*up)) - func(PhasePoint(*down))) / (2.0 * s))
+        return out
+
+    fq1, fq2, fp1, fp2 = grad(f)
+    gq1, gq2, gp1, gp2 = grad(g)
+    return fq1 * gp1 + fq2 * gp2 - fp1 * gq1 - fp2 * gq2
+
+
+def test_bracket_matches_stencil_reference_bitwise():
+    rng = np.random.default_rng(17)
+    for family, model in _VERIFY_MODELS.items():
+        funcs = conserved_functions(model)
+        pts = _random_points(model, rng, 6)
+        for i in range(6):
+            pt = PhasePoint(float(pts.q1[i]), float(pts.q2[i]),
+                            float(pts.p1[i]), float(pts.p2[i]))
+            for a, b in (("E", "L"), ("E", "S1"), ("S1", "S2"), ("S2", "L")):
+                got = poisson_bracket(funcs[a], funcs[b], pt, model=model)
+                assert got == _stencil_reference(funcs[a], funcs[b], pt), (family, a, b)
+
+
+def test_algebra_residuals_on_arrays_match_scalar_calls():
+    # a scalar point squares by pow(x, 2) and an array by x * x, which may
+    # differ by one ulp; the stencil divides that by 2h, so a residual may
+    # move by about 1e-11 per unit of |f| (1e-10 worst over 3000 points)
+    rng = np.random.default_rng(19)
+    for family, model in _VERIFY_MODELS.items():
+        pts = _random_points(model, rng, 12)
+        arr = algebra_residuals(model, pts)
+        for i in range(12):
+            pt = PhasePoint(float(pts.q1[i]), float(pts.q2[i]),
+                            float(pts.p1[i]), float(pts.p2[i]))
+            scalar = algebra_residuals(model, pt)
+            assert set(scalar) == set(arr)
+            for key, val in scalar.items():
+                assert arr[key].shape == (12,)
+                assert arr[key][i] == pytest.approx(val, rel=1e-12, abs=1e-9), (family, key)

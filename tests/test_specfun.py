@@ -6,6 +6,7 @@ from scipy import special as sps
 
 from koenigs.errors import DomainError
 from koenigs.specfun import (
+    _laguerre_rule,
     basis_coefficients,
     coefficient_oracle,
     hermite,
@@ -120,3 +121,20 @@ def test_generating_identity_spot():
     target = ((-1.0) ** n * (lam - 1j * mu) ** n * (lam + 1j * mu) ** (n + m)
               / math.factorial(n))
     assert total == pytest.approx(target, abs=1e-12)
+
+
+def test_laguerre_rule_cache_is_read_only_and_bounded():
+    nodes, weights = _laguerre_rule(48)
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert _laguerre_rule.cache_info().maxsize is not None
+
+
+def test_oracle_same_with_cold_and_warm_rule():
+    cases = ((0, 1, 1, 0), (1, -1, 2, 1), (3, 3, 4, 5), (2, 0, 1, 3))
+    _laguerre_rule.cache_clear()
+    cold = [coefficient_oracle(*c) for c in cases]
+    assert _laguerre_rule.cache_info().currsize > 0
+    warm = [coefficient_oracle(*c) for c in cases]
+    assert cold == warm
