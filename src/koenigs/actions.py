@@ -2,20 +2,20 @@
 
 Only Hyp0 and HypPlus support librating radial motion; the other families
 raise NotClosedRegime.  Closed-form actions are cross-checked by a direct
-phase-space quadrature that knows nothing about the closed forms.
+phase-space quadrature that knows nothing about the closed forms.  Its
+adaptive route is scipy.integrate.quad, which is imported at the first
+call that reaches it; the closed forms need numpy only.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NotClosedRegime, NoMotion, QuadratureFailure
 from .geodesics import classify
 from .models import FAMILY, kernel
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(160)
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,15 @@ def action_variables(model, E, L):
     return ActionVars(I_angle=L, I_radial=I_r, J=J)
 
 
+@functools.cache
+def _legendre_rule():
+    """Read-only (nodes, weights) of the 160-point Gauss-Legendre rule."""
+    nodes, weights = np.polynomial.legendre.leggauss(160)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def action_quadrature(model, E, L):
     """I_radial by numeric quadrature of (1/2pi) times the loop integral of p1 dq1.
 
@@ -78,11 +87,12 @@ def action_quadrature(model, E, L):
     # I = (1/pi) * integral of sqrt(-sigma (u_hi - u)(u - u_lo)) / (2 u (1 - kappa u)) du.
     # The 1/pi (not 1/2pi) keeps I_radial + I_angle equal to the J that
     # linearizes the energy.
-    u = mid - half * np.cos(0.5 * math.pi * (_GL_NODES + 1.0))
-    s2 = np.sin(0.5 * math.pi * (_GL_NODES + 1.0)) ** 2
+    nodes, weights = _legendre_rule()
+    u = mid - half * np.cos(0.5 * math.pi * (nodes + 1.0))
+    s2 = np.sin(0.5 * math.pi * (nodes + 1.0)) ** 2
     amp = math.sqrt(-regime.params["sigma"]) * half**2 / 2.0
     vals = s2 / (u * (1.0 - radial.kappa * u))
-    primary = amp * float(np.dot(_GL_WEIGHTS, vals))
+    primary = amp * float(np.dot(weights, vals))
     if half <= 1e-6 * max(1.0, abs(mid)):
         # turning interval collapsed to roundoff width; the loop integral
         # is below 1e-12 and the adaptive check would only divide 0 by 0
@@ -100,6 +110,8 @@ def action_quadrature(model, E, L):
         eps = 1e-9 * (q_hi - q_lo)
         q1 = min(max(q1, q_lo + eps), q_hi - eps)
         return math.sqrt(max(p1_sq(q1), 0.0) / ((q1 - q_lo) * (q_hi - q1))) * 2.0 / math.pi
+
+    from scipy.integrate import quad
 
     raw, err = quad(smooth_part, q_lo, q_hi, weight="alg", wvar=(0.5, 0.5), limit=400)
     # the reported bound is conservative near the window edge; the binding

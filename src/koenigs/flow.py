@@ -19,9 +19,11 @@ here over Python floats.  The tableau is scipy's own
 (`scipy.integrate._ivp.dop853_coefficients`), and the initial step, error
 norm, step-size controller, dense output and event search are those of
 scipy's DOP853, so a run takes the same steps as scipy's integrator; the
-tests keep that integrator as the oracle.  It is not symplectic on
-purpose: runs are short and the four conserved quantities give a sharper
-correctness signal than long-time energy behavior would.
+tests keep that integrator as the oracle.  scipy enters at the first run,
+not at import: scipy.integrate for the tableau, and scipy.optimize for
+the first event root search.  It is not symplectic on purpose: runs are
+short and the four conserved quantities give a sharper correctness
+signal than long-time energy behavior would.
 
 Chart edges terminate the run with BoundaryReached; radial turning points
 are passed through naturally in phase space.  Where the flow runs into an
@@ -31,12 +33,11 @@ event point that lands beyond it, is also BoundaryReached, at the latest
 state inside the chart.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.optimize import brentq
 
 from .errors import BoundaryReached, NotBounded, StepFailure
 from .models import FAMILY, PhasePoint, chart_margin, check_chart, kernel
@@ -53,16 +54,22 @@ def _sparse(row):
     return tuple((i, float(a)) for i, a in enumerate(row) if a != 0.0)
 
 
-# scipy's DOP853 tableau as (index, coefficient) pairs without the zeros:
-# stages 1..11, the solution weights, the two error estimators, the three
-# extra stages of the dense output and its four interpolation rows
-_N = _dop.N_STAGES
-_A = tuple(_sparse(_dop.A[s, :s]) for s in range(1, _N))
-_B = _sparse(_dop.B)
-_E3 = _sparse(_dop.E3)
-_E5 = _sparse(_dop.E5)
-_A_EXTRA = tuple(_sparse(_dop.A[s, :s]) for s in range(_N + 1, _dop.N_STAGES_EXTENDED))
-_D = tuple(_sparse(row) for row in _dop.D)
+@functools.cache
+def _tableau():
+    """scipy's DOP853 tableau as (index, coefficient) pairs without the zeros.
+
+    (A, B, E3, E5, A_EXTRA, D): stages 1..11, the solution weights, the two
+    error estimators, the three extra stages of the dense output and its
+    four interpolation rows.  Read from scipy on the first solve.
+    """
+    from scipy.integrate._ivp import dop853_coefficients as dop
+    n = dop.N_STAGES
+    return (tuple(_sparse(dop.A[s, :s]) for s in range(1, n)),
+            _sparse(dop.B), _sparse(dop.E3), _sparse(dop.E5),
+            tuple(_sparse(dop.A[s, :s]) for s in range(n + 1, dop.N_STAGES_EXTENDED)),
+            tuple(_sparse(row) for row in dop.D))
+
+
 # scipy's controller constants; the error estimator has order 7
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 # brentq's xtol = rtol in scipy's event root search
@@ -124,6 +131,7 @@ class _Dop853:
 
     def __init__(self, f, y, p2, t_end, tol):
         self.f, self.t_end, self.tol = f, t_end, tol
+        self.A, self.B, self.E3, self.E5, self.A_extra, self.D = _tableau()
         self.t, self.y = 0.0, y
         self.k = f(y[0], y[2])
         self.nfev, self.accepted, self.rejected = 2, 0, 0
@@ -148,6 +156,7 @@ class _Dop853:
 
     def step(self):
         f, t, y, k0, tol = self.f, self.t, self.y, self.k, self.tol
+        A, B, E3, E5 = self.A, self.B, self.E3, self.E5
         q1, q2, p1 = y
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(self.h_abs, min_step)
@@ -160,15 +169,15 @@ class _Dop853:
             h = t_new - t
             h_abs = abs(h)
             K = [k0]
-            for row in _A:
+            for row in A:
                 x, _, z = _combine(row, K)
                 K.append(f(q1 + x * h, p1 + z * h))
-            x, w, z = _combine(_B, K)
+            x, w, z = _combine(B, K)
             y_new = (q1 + h * x, q2 + h * w, p1 + h * z)
             K.append(f(y_new[0], y_new[2]))
             self.nfev += 12
             n5 = n3 = 0.0
-            for e5, e3, v, w in zip(_combine(_E5, K), _combine(_E3, K), y, y_new):
+            for e5, e3, v, w in zip(_combine(E5, K), _combine(E3, K), y, y_new):
                 scale = tol + max(abs(v), abs(w)) * tol
                 n5 += (e5 / scale) ** 2
                 n3 += (e3 / scale) ** 2
@@ -193,7 +202,7 @@ class _Dop853:
     def dense(self):
         """Interpolant s -> (q1, q2, p1) over the last step; three RHS calls."""
         f, h, K, y_old = self.f, self.h, self.K, self.y_old
-        for row in _A_EXTRA:
+        for row in self.A_extra:
             x, _, z = _combine(row, K)
             K.append(f(y_old[0] + x * h, y_old[2] + z * h))
         self.nfev += 3
@@ -201,7 +210,7 @@ class _Dop853:
         F = [dy,
              [h * fo - d for fo, d in zip(K[0], dy)],
              [2.0 * d - h * (fn + fo) for d, fn, fo in zip(dy, self.k, K[0])]]
-        F += [[h * c for c in _combine(row, K)] for row in _D]
+        F += [[h * c for c in _combine(row, K)] for row in self.D]
         columns = tuple(zip(*F, y_old))
         t_old, span = self.t_old, self.t - self.t_old
 
@@ -253,6 +262,8 @@ def _solve(model, initial, t_end, tol, samples, stop=None):
                           solver.nfev, solver.accepted, solver.rejected)
 
     def root(i, sol):
+        from scipy.optimize import brentq
+
         def gap(s):
             nonlocal inside
             z = sol(s)

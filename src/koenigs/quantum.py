@@ -12,14 +12,15 @@ eigenvalues LAPACK finds by bisection with Sturm counts, followed by
 Richardson extrapolation in the grid step; the eigenfunction residual
 applies the same operator.  Neither consults the closed forms.  The HypPlus
 count law is the difference of the matrix's Sturm counts at 0 and just
-below the well edge, with no level refined.
+below the well edge, with no level refined.  The eigensolve is the only
+user of scipy here: scipy.linalg loads at the first solve, and the closed
+forms, eigenfunctions and residuals need numpy only.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceFailure, DomainError, NoBoundState
 from .models import FAMILY, check_chart, kernel
@@ -131,6 +132,8 @@ def _eigenvalues(model, m, x_max, h, **select):
     _, V, w = _flux_coefficients(model, m, faces - 0.5 * h)
     diag = ((p[:-1] + p[1:]) / h**2 + V) / w
     off = -p[1:-1] / (h**2 * np.sqrt(w[:-1] * w[1:]))
+    from scipy.linalg import eigh_tridiagonal
+
     return eigh_tridiagonal(diag, off, eigvals_only=True, **select)
 
 
@@ -231,8 +234,10 @@ def _radial_wave(model, level, q):
     if model.family == "h0":
         zeta = sq * q**2
         return np.exp(-zeta / 2.0) * zeta ** (mm / 2.0) * laguerre(n, mm, zeta)
-    t, c = np.tanh(q), np.cosh(q)
-    return t**mm * c ** (-0.5 - sq) * jacobi(n, mm, sq, 1.0 - 2.0 * t**2)
+    # sech(q)^(1/2 + sq) as (2 e^-q / (1 + e^-2q))^(1/2 + sq): cosh(q)
+    # overflows past q = 710, where the factor itself only underflows to 0
+    t, e = np.tanh(q), np.exp(-q)
+    return t**mm * (2.0 * e / (1.0 + e * e)) ** (0.5 + sq) * jacobi(n, mm, sq, 1.0 - 2.0 * t**2)
 
 
 def schrodinger_residual(model, level, h=1e-3):

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.optimize import brentq
 
 from . import actions as actions_mod
 from . import quantum as quantum_mod
@@ -290,6 +288,8 @@ def _check_trig_eigen(rng):
 # -- geodesics ----------------------------------------------------------------
 
 def _check_turnings_vs_bisection(rng):
+    from scipy.optimize import brentq
+
     worst = 0.0
     for case in REGIME_CASES:
         family, _, _, E, L, _ = case
@@ -633,7 +633,10 @@ def _check_classical_correspondence(rng):
 
 
 def _check_norms_finite(rng):
-    # share of the norm in the outer tenth of the grid
+    # share of the norm in the outer tenth of the grid; scipy's trapezoid,
+    # since np.trapezoid needs numpy >= 2.0
+    from scipy.integrate import trapezoid
+
     worst = 0.0
     for fam, rho, xi in (("h0", 0.8, 1.1), ("hplus", 0.5, 7.75)):
         model = make_model(fam, rho, xi)

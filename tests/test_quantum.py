@@ -147,6 +147,14 @@ def test_eigenfunction_nodes_and_angular_factor():
     assert abs(v1 / v0 - np.exp(1j * 0.7)) < 1e-12
 
 
+def test_hplus_eigenfunction_underflows_far_out():
+    # sech(chi)^(1/2 + sqrt(delta)) underflows to 0 far out; cosh(chi)
+    # itself overflows past chi = 710, which pytest turns into an error
+    model = make_model("hplus", 2.0, 31.75)
+    for lv in spectrum(model, 1, 2):
+        assert eigenfunction(model, lv, (800.0, 0.3)) == 0.0
+
+
 def _hand_flux_coefficients(model, m, x):
     # reference: the h0 and hplus radial operators derived by hand, times
     # twice the measure W r (h0) or W sinh(chi) / cosh(chi)^2 (hplus)
