@@ -8,13 +8,15 @@ the m-th angular mode solves -(p y')' + V y = E w y with
     p = sqrt(a/b),    V = m^2/p + c/sqrt(a b),    w = 2/sqrt(a b).
 
 On a cell-centred grid that is a symmetric tridiagonal matrix whose
-eigenvalues LAPACK finds by bisection with Sturm counts, followed by
-Richardson extrapolation in the grid step; the eigenfunction residual
+eigenvalues LAPACK finds by bisection with Sturm counts.  The grid error is
+a series in h^2, so three grids, h = 0.02, 0.01 and 0.005, all ending at the
+same x, extrapolate away its h^2 and h^4 terms; the eigenfunction residual
 applies the same operator.  Neither consults the closed forms.  The HypPlus
 count law is the difference of the matrix's Sturm counts at 0 and just
-below the well edge, with no level refined.  The eigensolve is the only
-user of scipy here: scipy.linalg loads at the first solve, and the closed
-forms, eigenfunctions and residuals need numpy only.
+below the well edge, with no level refined, on a grid of its own
+(h = 0.004).  The eigensolve is the only user of scipy here: scipy.linalg
+loads at the first solve, and the closed forms, eigenfunctions and
+residuals need numpy only.
 """
 
 import math
@@ -95,9 +97,12 @@ def eigenfunction(model, level, position):
 
 # -- flux-form eigensolve -----------------------------------------------------
 
-# Richardson pair for the second-order cell-centred scheme
-_H_COARSE = 0.004
-_H_FINE = 0.002
+# Richardson triple for the second-order cell-centred scheme: each step
+# halves the last, and the domain search runs on the first
+_H_GRIDS = (0.02, 0.01, 0.005)
+# the level count keeps a finer grid of its own: a level a few 1e-6 below
+# the count's probe must not cross it, and the 0.02 grid moves levels more
+_H_COUNT = 0.004
 # outer end of the radial domain: first try, and the longest tried (r for
 # h0, chi for hplus); the hplus kernel stays finite up to the longest end
 _X_START = 10.0
@@ -155,12 +160,20 @@ def _edge(model):
 
 
 def _solve_levels(model, m, k):
-    """Lowest k+1 radial eigenvalues, the domain sized from the top one."""
+    """Lowest k+1 radial eigenvalues, the domain sized from the top one.
+
+    The search solves on the coarsest grid, with the outer end snapped up to
+    a whole number of its cells, so all three grids end at the same x and
+    the last search solve is the coarse term of the extrapolation.
+    """
+    h = _H_GRIDS[0]
     x_max = _X_START
     while True:
+        cells = math.ceil(x_max / h)
+        x_max = cells * h
         need = math.inf  # also when fewer cells than k + 1 hold no k-th level
-        if k < round(x_max / _H_COARSE):
-            coarse = _eigenvalues(model, m, x_max, _H_COARSE, select="i", select_range=(0, k))
+        if k < cells:
+            coarse = _eigenvalues(model, m, x_max, h, select="i", select_range=(0, k))
             need = _decay_length(model, coarse[-1])
         if need <= 1.05 * x_max:  # the slack stops round-off in E forcing more passes
             break
@@ -173,17 +186,25 @@ def _solve_levels(model, m, k):
                 f"level k={k}, m={m} not settled on the longest domain {_X_MAX:g}"
             )
         x_max = min(_X_MAX, 2.0 * x_max if need == math.inf else need)
-    fine = _eigenvalues(model, m, x_max, _H_FINE, select="i", select_range=(0, k))
-    return tuple(float(E) for E in (4.0 * fine - coarse) / 3.0)
+    mid = _eigenvalues(model, m, x_max, _H_GRIDS[1], select="i", select_range=(0, k))
+    fine = _eigenvalues(model, m, x_max, _H_GRIDS[2], select="i", select_range=(0, k))
+    # (4 E_b - E_a)/3 removes the h^2 term of each pair, and 16:1 of those
+    # removes the h^4 term
+    r_coarse = (4.0 * mid - coarse) / 3.0
+    r_fine = (4.0 * fine - mid) / 3.0
+    return tuple(float(E) for E in (16.0 * r_fine - r_coarse) / 15.0)
 
 
 def shoot_eigenvalue(model, m, k):
     """k-th radial eigenvalue for angular number m, by a Sturm-Liouville eigensolve.
 
     Independent of the closed-form spectrum: the flux form of the radial
-    equation on a cell-centred grid, LAPACK bisection with Sturm counts and
-    Richardson extrapolation in the grid step.  The outer end grows until it
-    covers the decay length of the solver's own k-th eigenvalue.
+    equation on cell-centred grids of step 0.02, 0.01 and 0.005, LAPACK
+    bisection with Sturm counts, and two Richardson steps that remove the
+    h^2 and h^4 terms of the grid error.  The outer end grows, on the 0.02
+    grid, until it covers the decay length of the solver's own k-th
+    eigenvalue; it is a whole number of 0.02 cells, so all three grids end
+    at the same x.
 
     One solve returns levels 0..k, and a later call for a higher k solves
     afresh; so ask each (model, |m|) for its highest level first.  Levels in
@@ -218,7 +239,7 @@ def count_bound_levels(model, m):
         raise DomainError("the Hyp0 well is infinitely deep; the count diverges")
     probe = _edge(model) * (1.0 - 1e-6)
     found = _eigenvalues(
-        model, abs(int(m)), _X_MAX, _H_COARSE, select="v", select_range=(0.0, probe),
+        model, abs(int(m)), _X_MAX, _H_COUNT, select="v", select_range=(0.0, probe),
         tol=probe,
     )
     return len(found)

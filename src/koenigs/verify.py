@@ -556,14 +556,25 @@ def _check_hplus_endpoint(rng):
 
 # -- quantum ------------------------------------------------------------------
 
+# (family, rho, xi, n_max, m_max) of the spectrum row's fixed models; the
+# last one holds a high-E level (n 4, m 0, E about 34) that a two-grid
+# extrapolation put 1.12e-8 off
+SPECTRUM_MODELS = tuple(
+    ("h0", rho, xi, 3, 3) for rho in (0.5, 1.0, 2.0) for xi in (1.0, 3.0)
+) + (("hplus", 0.5, 7.75, 3, 3), ("hplus", 2.0, 31.75, 3, 3), ("h0", 0.339, 37.36, 4, 4))
+
+
 def _check_spectrum_vs_shooting(rng):
+    # the fixed models, then two deep h0 wells drawn from the seed, whose
+    # top levels reach E of 3 to 46
+    cases = list(SPECTRUM_MODELS)
+    for _ in range(2):
+        cases.append(("h0", float(rng.uniform(0.3, 3.0)), float(rng.uniform(20.0, 40.0)), 4, 4))
     worst = 0.0
-    grids = [("h0", rho, xi) for rho in (0.5, 1.0, 2.0) for xi in (1.0, 3.0)]
-    grids += [("hplus", 0.5, 7.75), ("hplus", 2.0, 31.75)]
-    for fam, rho, xi in grids:
+    for fam, rho, xi, n_max, m_max in cases:
         model = make_model(fam, rho, xi)
         # highest n first: one solve per (model, |m|) returns every lower level
-        for lv in sorted(quantum_mod.spectrum(model, 3, 3), key=lambda lv: -lv.n):
+        for lv in sorted(quantum_mod.spectrum(model, n_max, m_max), key=lambda lv: -lv.n):
             if lv.m < 0:
                 continue
             diff = abs(quantum_mod.shoot_eigenvalue(model, lv.m, lv.n) - lv.E)

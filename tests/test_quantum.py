@@ -84,6 +84,65 @@ def test_shooting_matches_formula_hplus_spot():
     assert shoot_eigenvalue(model, 1, 0) == pytest.approx(levels[(0, 1)], abs=1e-8)
 
 
+def test_shooting_matches_formula_high_energy():
+    # n = 4, m = 0 at E about 34: the h^4 term of a two-grid extrapolation
+    # on h = 0.004, 0.002 left 1.12e-8 here
+    model = make_model("h0", 0.339, 37.36)
+    level = [lv for lv in spectrum(model, 4, 0) if lv.n == 4][0]
+    assert shoot_eigenvalue(model, 0, 4) == pytest.approx(level.E, abs=1e-8)
+
+
+def _record_grids(monkeypatch):
+    """(x_max, h, eigenvalues) of every grid solved from now on."""
+    calls = []
+    real = quantum._eigenvalues
+
+    def recording(model, m, x_max, h, **select):
+        found = real(model, m, x_max, h, **select)
+        calls.append((x_max, h, found))
+        return found
+
+    monkeypatch.setattr(quantum, "_eigenvalues", recording)
+    return calls
+
+
+def test_three_grids_share_the_domain_end(monkeypatch):
+    # the top level (J = 9) of a shallow h0 well needs a domain past
+    # _X_START; the search end is snapped to whole 0.02 cells, so all
+    # three grids end at the same x
+    calls = _record_grids(monkeypatch)
+    quantum._solve_levels(make_model("h0", 1.0, 2.5), 0, 4)
+    assert len(calls) >= 4 and calls[0][0] == quantum._X_START
+    assert [h for _, h, _ in calls[-3:]] == [0.02, 0.01, 0.005]
+    ends = {x for x, _, _ in calls[-3:]}
+    assert len(ends) == 1 and ends.pop() > quantum._X_START
+    for x, _, _ in calls:
+        assert abs(x / 0.02 - round(x / 0.02)) < 1e-9
+
+
+def test_observed_order_is_two(monkeypatch):
+    # (E_0.02 - E_0.01)/(E_0.01 - E_0.005) near 4 says the error is c h^2
+    # plus higher even powers, as the extrapolation assumes.  The floor
+    # skips levels whose grid differences are 1e-9 or less: there rounding
+    # in the eigenvalues sets the ratio (3.1 to 4.4 at h0 rho 2, xi 1, m 2-3)
+    from koenigs.verify import SPECTRUM_MODELS
+
+    calls = _record_grids(monkeypatch)
+    ratios = []
+    for fam, rho, xi, n_max, m_max in SPECTRUM_MODELS:
+        model = make_model(fam, rho, xi)
+        for m in range(m_max + 1):
+            top = max((lv.n for lv in spectrum(model, n_max, m) if lv.m == m), default=None)
+            if top is None:
+                continue
+            quantum._solve_levels(model, m, top)
+            a, b, c = (found for _, _, found in calls[-3:])
+            settled = np.abs(a - b) > 1e-7 * np.maximum(1.0, np.abs(b))
+            ratios.extend((a - b)[settled] / (b - c)[settled])
+    assert len(ratios) >= 80  # of the 129 levels solved
+    assert 3.9 <= min(ratios) and max(ratios) <= 4.1
+
+
 def test_count_bound_levels_matches_window():
     model = make_model("hplus", 0.5, 7.75)
     j_max = math.sqrt(8.0 / 0.5)  # = 4
@@ -113,7 +172,7 @@ def test_count_bound_levels_equals_refined_count(rho, xi, m):
     model = make_model("hplus", rho, xi)
     probe = quantum._edge(model) * (1.0 - 1e-6)
     refined = quantum._eigenvalues(
-        model, m, quantum._X_MAX, quantum._H_COARSE, select="v", select_range=(0.0, probe)
+        model, m, quantum._X_MAX, quantum._H_COUNT, select="v", select_range=(0.0, probe)
     )
     assert count_bound_levels(model, m) == len(refined)
 
@@ -171,9 +230,10 @@ def _hand_flux_coefficients(model, m, x):
 ])
 def test_flux_coefficients_match_hand_formulas(family, rho, xi, x_max):
     # the Carter operator read from the kernel is the hand-derived radial
-    # operator on every face and centre of the fine grid
+    # operator on every face and centre of a 0.002 grid, finer than the
+    # eigensolve's finest
     model = make_model(family, rho, xi)
-    h = quantum._H_FINE
+    h = 0.002
     x = 0.5 * h * np.arange(1, 2 * round(x_max / h) + 1)
     for m in (0, 1, 5):
         got = quantum._flux_coefficients(model, m, x)
