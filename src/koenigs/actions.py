@@ -1,10 +1,13 @@
 """Action variables for the two families with closed bounded orbits.
 
 Only Hyp0 and HypPlus support librating radial motion; the other families
-raise NotClosedRegime.  Closed-form actions are cross-checked by a direct
-phase-space quadrature that knows nothing about the closed forms.  Its
-adaptive route is scipy.integrate.quad, which is imported at the first
-call that reaches it; the closed forms need numpy only.
+raise NotClosedRegime.  The closed forms are the family's `models.Radial`
+row: J = J(E) with I_radial = J - L and I_angle = L, and energy_from_J is
+its inverse E(J) on the window 0 < J, kappa rho J^2 < xi; no family is
+named here.  They are cross-checked by a direct phase-space quadrature that
+knows nothing about them.  Its adaptive route is scipy.integrate.quad,
+which is imported at the first call that reaches it; the closed forms need
+the math module only.
 """
 
 import functools
@@ -42,13 +45,8 @@ def _require_closed(model, E, L):
 def action_variables(model, E, L):
     """Closed-form ActionVars on a closed regime; NotClosedRegime otherwise."""
     _require_closed(model, E, L)
-    rho, xi = model.rho, model.xi
-    if model.family == "h0":
-        J = E / math.sqrt(xi - 2.0 * rho * E)
-        I_r = J - L
-    else:
-        I_r = -L + math.sqrt(xi - 2.0 * (rho - 1.0) * E) - math.sqrt(xi - 2.0 * rho * E)
-        J = I_r + L
+    J = FAMILY[model.family].radial.action(model.rho, model.xi, E)
+    I_r = J - L
     # circular orbits land at I_r = 0 up to roundoff
     if -1e-12 < I_r < 0.0:
         I_r = 0.0
@@ -126,29 +124,15 @@ def action_quadrature(model, E, L):
 
 
 def energy_from_J(model, J):
-    """Invert J(E) on the closed window; DomainError off the window."""
-    rho, xi = model.rho, model.xi
-    if model.family == "h0":
-        if xi <= 0.0:
-            raise DomainError(f"h0 has closed orbits only for xi > 0, got xi = {xi}")
-        if J <= 0.0:
-            raise DomainError(f"need J > 0, got {J}")
-        return J * (math.sqrt(xi + rho**2 * J**2) - rho * J)
-    if model.family == "hplus":
-        if J <= 0.0 or J**2 >= xi / rho:
-            raise DomainError(f"need 0 < J < sqrt(xi/rho), got {J}")
-        radicand = rho * (rho - 1.0) * J**2 + xi
-        if radicand < 0.0:
-            raise DomainError(f"J = {J} leaves the invertible window")
-        return J * (math.sqrt(radicand) - (rho - 0.5) * J)
-    raise NotClosedRegime(f"family '{model.family}' has no closed bounded orbits")
-
-
-def integral_values_on_torus(model, E, L):
-    """(S1, S2) evaluated at the perihelion point of a closed Hyp0 orbit."""
-    if model.family != "h0":
-        raise NotClosedRegime("torus values are defined for Hyp0 closed orbits only")
-    av = action_variables(model, E, L)
-    J = av.J
-    spread = max(J**2 - L**2, 0.0)
-    return (0.0, -math.sqrt(spread) * E / J)
+    """Invert J(E) on the closed window 0 < J, kappa rho J^2 < xi; DomainError off it."""
+    radial = FAMILY[model.family].radial
+    if radial is None:
+        raise NotClosedRegime(f"family '{model.family}' has no closed bounded orbits")
+    if J <= 0.0:
+        raise DomainError(f"need J > 0, got {J}")
+    floor = radial.kappa * model.rho * J**2
+    if model.xi <= floor:
+        raise DomainError(
+            f"{model.family} has closed orbits at J = {J} only for xi > {floor:g}, got xi = {model.xi}"
+        )
+    return radial.energy(model.rho, model.xi, J)

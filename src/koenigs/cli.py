@@ -48,17 +48,8 @@ class RunConfig:
     suite: str = "all"
 
 
-_DEFAULT_FORMATS = {
-    "classify": "json",
-    "geodesic": "csv",
-    "flow": "json",
-    "actions": "csv",
-    "spectrum": "csv",
-    "verify": "json",
-    "figures": "svg",
-}
-
-_ALLOWED_FORMATS = {
+# allowed --format values per command; the first is the default
+_FORMATS = {
     "classify": ("json", "csv"),
     "geodesic": ("csv", "json", "svg"),
     "flow": ("json", "csv"),
@@ -67,6 +58,9 @@ _ALLOWED_FORMATS = {
     "verify": ("json", "csv"),
     "figures": ("svg",),
 }
+
+# one span per family keeps runs short while crossing several turnings
+_FAMILY_SPANS = {"trig": 8.0, "h0": 12.0, "hplus": 10.0, "hminus": 4.0, "affine": 4.0}
 
 
 class UsageError(Exception):
@@ -179,11 +173,12 @@ def _payload_classify(config):
     return _emit_json(record)
 
 
-def _trajectory_for(config, span):
+def _trajectory_for(config):
     model = _model_from(config)
     _require(config, "E", "L")
     regime = classify_regime(model, config.E, config.L)
     tol = 1e-10 if config.tol is None else config.tol
+    span = _FAMILY_SPANS[model.family]
     try:
         traj = integrate(model, start_point(regime), span, tol=tol, samples=400)
     except BoundaryReached as reached:
@@ -192,7 +187,7 @@ def _trajectory_for(config, span):
 
 
 def _payload_geodesic(config):
-    regime, traj = _trajectory_for(config, _span_for_tag_default(config))
+    regime, traj = _trajectory_for(config)
     cols = ("t", "q1", "q2", "p1", "p2")
     rows = [
         {"t": traj.t[i], "q1": traj.states[i, 0], "q2": traj.states[i, 1],
@@ -212,14 +207,8 @@ def _payload_geodesic(config):
     return _emit_csv(rows, cols)
 
 
-def _span_for_tag_default(config):
-    # one span per family keeps runs short while crossing several turnings
-    spans = {"trig": 8.0, "h0": 12.0, "hplus": 10.0, "hminus": 4.0, "affine": 4.0}
-    return spans.get(config.family, 8.0)
-
-
 def _payload_flow(config):
-    regime, traj = _trajectory_for(config, _span_for_tag_default(config))
+    regime, traj = _trajectory_for(config)
     rep = drift_report(traj)
     record = {
         "family": config.family,
@@ -329,10 +318,10 @@ def _payload_figures(config):
 
 def render(config):
     """Render a configuration to (payload bytes, stdout lines, exit code)."""
-    fmt = config.format or _DEFAULT_FORMATS[config.command]
-    if fmt not in _ALLOWED_FORMATS[config.command]:
-        allowed = "/".join(_ALLOWED_FORMATS[config.command])
-        raise UsageError(f"{config.command} supports --format {allowed}, not {fmt}")
+    allowed = _FORMATS[config.command]
+    fmt = config.format or allowed[0]
+    if fmt not in allowed:
+        raise UsageError(f"{config.command} supports --format {'/'.join(allowed)}, not {fmt}")
     config = RunConfig(**{**config.__dict__, "format": fmt})
     if config.command == "verify":
         return _payload_verify(config)
@@ -405,23 +394,22 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        family=args.family,
-        rho=args.rho,
-        xi=args.xi,
-        E=args.E,
-        L=args.L,
-        n_max=args.n_max,
-        m_max=args.m_max,
-        tol=None,
-        seed=args.seed,
-        format=args.format,
-        out=args.out,
-        suite=getattr(args, "suite", "all"),
-    )
     try:
-        config = RunConfig(**{**config.__dict__, "tol": _parse_tol(args.tol)})
+        config = RunConfig(
+            command=args.command,
+            family=args.family,
+            rho=args.rho,
+            xi=args.xi,
+            E=args.E,
+            L=args.L,
+            n_max=args.n_max,
+            m_max=args.m_max,
+            tol=_parse_tol(args.tol),
+            seed=args.seed,
+            format=args.format,
+            out=args.out,
+            suite=getattr(args, "suite", "all"),
+        )
         payload, lines, code = render(config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,14 @@ read through each family's `models.Radial` row:
     h0       0       r^2           sqrt(u)       inf
     hplus    1       tanh^2 chi    atanh sqrt u  1
 
-Both are open exactly when 2 rho E > xi; the classifier, the curve
-residual and the action quadrature all read the same row.
+and, on that quadratic, the row's closed forms for both families:
+
+    E(J) = J (sqrt(xi + rho (rho - kappa) J^2) - (rho - kappa/2) J)
+    J(E) = 2 E / (sqrt(xi - 2 (rho - kappa) E) + sqrt(xi - 2 rho E))
+
+Both are open exactly when 2 rho E > xi, and closed orbits fill
+E_plus = E(L) < E < xi / (2 rho); the classifier, the curve residual, the
+action quadrature and the closed-form actions all read the same row.
 
 Conventions: L > 0 throughout.  Negative-energy trigonometric inputs are
 mapped through (E, sigma, xi) -> (-E, -sigma, -xi), classified, and the
@@ -181,9 +187,8 @@ def _classify_radial(model, radial, E, L):
     delta = A**2 + L**2 * sigma
     scale = max(1.0, abs(E), L**2, abs(xi))
     params = {"sigma": sigma, "A": A}
-    rad = xi + rho * (rho - kappa) * L**2
-    if rad >= 0.0:
-        params["E_plus"] = L * (math.sqrt(rad) - (rho - 0.5 * kappa) * L)
+    if xi + rho * (rho - kappa) * L**2 >= 0.0:
+        params["E_plus"] = radial.energy(rho, xi, L)  # circular orbit: J = L
     far = 2.0 * rho * E - xi
     on_edge = _near(far, 0.0, scale)
     closed = far < 0.0 and not on_edge

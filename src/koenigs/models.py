@@ -13,8 +13,9 @@ capabilities; validation, chart checks, the flow's edge events and the
 closed-orbit and quantum entry points all read it.  The two families with
 closed orbits carry a `Radial` row: their radial motion is one quadratic in
 u, read through that row by the classifier, the curve residual and the
-action quadrature.  Per-family formulas (kernel, curvature, embedding,
-generators) stay as one chain each.
+action quadrature, and the row's E(J), J(E) and quantum xi shift are the
+closed forms of the actions and the spectrum.  Per-family formulas
+(kernel, curvature, embedding, generators) stay as one chain each.
 
 Every Hamiltonian has the shape H = (a(q1) p1^2 + b(q1) p2^2 + c(q1)) / 2,
 so the metric is diag(1/a, 1/b) and the potential is c/2.  All coordinate
@@ -38,13 +39,31 @@ _EDGE_TOL = 1e-12
 class Radial:
     """Radial quadratic p1^2 u = sigma u^2 + 2 A u - L^2 of a closed family.
 
-    sigma = 2 (rho - kappa) E - xi and A = E + kappa L^2 / 2.
+    sigma = 2 (rho - kappa) E - xi and A = E + kappa L^2 / 2.  The family's
+    closed forms on that quadratic live here and nowhere else: the action
+    J(E) of a closed orbit, its inverse E(J) (the circular orbit at L has
+    J = L), and the shift of xi that Carter quantization adds to E(J).
     """
 
     kappa: float       # 0 on h0, 1 on hplus
     u: object          # q1 -> u
     q1: object         # u -> q1
     u_far: float       # u at the chart's far edge
+    xi_shift: float    # quantum shift of xi in E(J_tilde): 0 on h0, 1/4 on hplus
+
+    def energy(self, rho, xi, J):
+        """E(J) = J (sqrt(xi + rho (rho - kappa) J^2) - (rho - kappa/2) J)."""
+        k = self.kappa
+        return J * (math.sqrt(xi + rho * (rho - k) * J**2) - (rho - 0.5 * k) * J)
+
+    def action(self, rho, xi, E):
+        """J(E) = 2E / (sqrt(xi - 2 (rho - kappa) E) + sqrt(xi - 2 rho E)).
+
+        The sum of roots does not cancel where the hplus difference
+        sqrt(xi - 2 (rho - 1) E) - sqrt(xi - 2 rho E) would.
+        """
+        root_sigma = math.sqrt(xi - 2.0 * (rho - self.kappa) * E)  # sqrt(-sigma)
+        return 2.0 * E / (root_sigma + math.sqrt(xi - 2.0 * rho * E))
 
 
 @dataclass(frozen=True)
@@ -65,10 +84,10 @@ def _half_line(rho):
 FAMILY = {
     "trig": Family((0.0, 1.0), (0.0, 1.0, -1.0), lambda rho: (0.0, math.pi)),
     "h0": Family((0.0, math.inf), (0.0,), _half_line, angle=True,
-                 radial=Radial(0.0, lambda r: r * r, math.sqrt, math.inf)),
+                 radial=Radial(0.0, lambda r: r * r, math.sqrt, math.inf, 0.0)),
     "hplus": Family((0.0, math.inf), (1.0,), _half_line, angle=True,
                     radial=Radial(1.0, lambda chi: math.tanh(chi) ** 2,
-                                  lambda u: math.atanh(math.sqrt(u)), 1.0)),
+                                  lambda u: math.atanh(math.sqrt(u)), 1.0, 0.25)),
     # sinh x + rho > 0
     "hminus": Family((-math.inf, math.inf), (), lambda rho: (math.asinh(-rho), math.inf)),
     "affine": Family((0.0, math.inf), (0.0,), _half_line),

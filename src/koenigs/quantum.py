@@ -1,9 +1,16 @@
 """Bound spectra and radial eigenproblems for the Hyp0 and HypPlus wells.
 
 Closed-form spectra come from the linearizing quantum number
-J_tilde = 2n + |m| + 1.  Their independent check quantizes `models.kernel`
-the Carter (minimal) way, -Laplacian/2 + c/2: for H = (a p1^2 + b p2^2 + c)/2
-the m-th angular mode solves -(p y')' + V y = E w y with
+J_tilde = 2n + |m| + 1: E = E(J_tilde) of the family's `models.Radial` row,
+with xi raised by the row's quantum shift, and a level exists while
+kappa rho J_tilde^2 < xi + shift.  The shift is 0 on Hyp0 and 1/4 on
+HypPlus, whose far region is a hyperbolic plane of curvature -1/rho: the
+continuous spectrum of -Laplacian/2 there starts 1/(8 rho) above the far
+potential xi/(2 rho), which lifts the well edge to (xi + 1/4)/(2 rho).
+
+Their independent check quantizes `models.kernel` the Carter (minimal) way,
+-Laplacian/2 + c/2: for H = (a p1^2 + b p2^2 + c)/2 the m-th angular mode
+solves -(p y')' + V y = E w y with
 
     p = sqrt(a/b),    V = m^2/p + c/sqrt(a b),    w = 2/sqrt(a b).
 
@@ -45,26 +52,9 @@ def _require_quantum(model):
 
 
 def _xi_eff(model):
-    # the closed-form HypPlus spectrum carries a quarter shift of xi; the
-    # eigensolve reproduces it from the metric without being told
-    return model.xi + 0.25 if model.family == "hplus" else model.xi
-
-
-def _level_energy(model, J_tilde):
-    rho = model.rho
-    xe = _xi_eff(model)
-    if model.family == "h0":
-        return J_tilde * (math.sqrt(xe + rho**2 * J_tilde**2) - rho * J_tilde)
-    return J_tilde * (
-        math.sqrt(xe + rho * (rho - 1.0) * J_tilde**2) - (rho - 0.5) * J_tilde
-    )
-
-
-def _j_window_max(model):
-    """Largest admissible J_tilde (HypPlus keeps a finite well)."""
-    if model.family == "h0":
-        return math.inf
-    return math.sqrt(_xi_eff(model) / model.rho)
+    # the closed-form spectrum carries the row's shift of xi; the eigensolve
+    # reproduces it from the metric without being told
+    return model.xi + FAMILY[model.family].radial.xi_shift
 
 
 def spectrum(model, n_max, m_max):
@@ -72,14 +62,15 @@ def spectrum(model, n_max, m_max):
     _require_quantum(model)
     if n_max < 0 or m_max < 0:
         raise DomainError(f"need n_max, m_max >= 0, got ({n_max}, {m_max})")
-    jmax = _j_window_max(model)
+    radial = FAMILY[model.family].radial
+    rho, xe = model.rho, _xi_eff(model)
     levels = []
     for n in range(int(n_max) + 1):
         for m in range(-int(m_max), int(m_max) + 1):
             jt = 2.0 * n + abs(m) + 1.0
-            if jt >= jmax:
-                continue
-            levels.append(Level(n=n, m=m, J_tilde=jt, E=_level_energy(model, jt)))
+            if radial.kappa * rho * jt**2 >= xe:
+                continue  # above the top of the HypPlus well
+            levels.append(Level(n=n, m=m, J_tilde=jt, E=radial.energy(rho, xe, jt)))
     levels.sort(key=lambda lv: (lv.E, lv.n, lv.m))
     return levels
 

@@ -38,6 +38,7 @@ from .invariants import (
     conserved_set,
 )
 from .models import (
+    FAMILY,
     PhasePoint,
     brioschi_curvature,
     embed,
@@ -602,7 +603,6 @@ def _check_count_law(rng):
         if abs(rho - 1.0) < 0.05:
             continue
         xi = float(rng.uniform(0.5, 40.0))
-        model = make_model("hplus", rho, xi)
         xe = xi + 0.25
         jmax = math.sqrt(xe / rho)
         j_levels = [j for j in range(1, int(jmax) + 2) if j < jmax]
@@ -610,7 +610,7 @@ def _check_count_law(rng):
             continue
         if min(abs(j - jmax) for j in range(1, int(jmax) + 2)) < 0.05:
             continue  # a level too close to the window edge
-        delta_min = xe - 2.0 * rho * quantum_mod._level_energy(model, max(j_levels))
+        delta_min = xe - 2.0 * rho * FAMILY["hplus"].radial.energy(rho, xe, max(j_levels))
         if delta_min < 0.2:
             continue
         pairs.append((rho, xi))

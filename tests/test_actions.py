@@ -1,17 +1,11 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from koenigs.actions import (
-    action_quadrature,
-    action_variables,
-    energy_from_J,
-    integral_values_on_torus,
-)
+from koenigs.actions import action_quadrature, action_variables, energy_from_J
 from koenigs.errors import DomainError, NotClosedRegime
-from koenigs.geodesics import classify, start_point
-from koenigs.invariants import conserved_set
 from koenigs.models import make_model
 
 
@@ -111,6 +105,10 @@ def test_energy_from_J_domain(h0_model, hplus_model):
         energy_from_J(h0_model, -0.5)
     with pytest.raises(DomainError):
         energy_from_J(hplus_model, math.sqrt(hplus_model.xi / hplus_model.rho) + 0.1)
+    # the window's top, J^2 = xi / rho exactly (rho 2, xi 8, J 2)
+    assert hplus_model.rho * 2.0**2 == hplus_model.xi
+    with pytest.raises(DomainError):
+        energy_from_J(hplus_model, 2.0)
 
 
 @pytest.mark.parametrize("xi", [-1.1, -0.1, 0.0])
@@ -121,12 +119,15 @@ def test_energy_from_J_rejects_h0_without_closed_orbits(xi):
         energy_from_J(make_model("h0", 0.8, xi), 0.5)
 
 
-def test_torus_values_match_conserved_set_at_perihelion(h0_model):
-    L = 0.5
-    lo, hi = _h0_window(h0_model, L)
-    for E in np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 5):
-        s1_pred, s2_pred = integral_values_on_torus(h0_model, float(E), L)
-        regime = classify(h0_model, float(E), L)
-        cs = conserved_set(h0_model, start_point(regime))
-        assert cs.S1 == pytest.approx(s1_pred, abs=1e-10)
-        assert cs.S2 == pytest.approx(s2_pred, abs=1e-10)
+@pytest.mark.parametrize("rho,xi,L", [(0.3, 1000.0, 1e-4), (3.0, 200.0, 1e-3)])
+def test_hplus_action_matches_decimal_reference(rho, xi, L):
+    # near the bottom of a deep window the difference of square roots
+    # sqrt(xi - 2 (rho - 1) E) - sqrt(xi - 2 rho E) lost 1.7e-11 and 9.1e-13
+    model = make_model("hplus", rho, xi)
+    E = energy_from_J(model, L) * (1.0 + 1e-6)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r, x, e = Decimal(rho), Decimal(xi), Decimal(E)
+        ref = 2 * e / ((x - 2 * (r - 1) * e).sqrt() + (x - 2 * r * e).sqrt())
+    J = action_variables(model, E, L).J
+    assert float(abs(Decimal(J) - ref) / ref) <= 1e-14
