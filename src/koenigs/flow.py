@@ -9,8 +9,12 @@ The derivatives a', b', c' come from one complex-step evaluation of the
 kernel, Im kernel(q1 + ih) / h with h = 1e-30 (Squire & Trapp, SIAM Rev. 40,
 1998): exact to rounding, with no difference taken and no hand-derived
 formula.  So `models.kernel` must stay analytic in q1: no abs, maximum,
-comparisons or branches on q1.  p2 is a constant of the motion, so the
-integrator carries (q1, q2, p1) and p2 rides along.
+comparisons or branches on q1.  The step point is a Python complex, so the
+family's kernel runs on CPython's complex arithmetic and `cmath`, with no
+numpy scalar in the loop.  p2 is a constant of the motion, so the
+integrator carries (q1, q2, p1) and p2 rides along; the stage rows of the
+tableau (`_stage`) sum only the q1 and p1 slopes, the only ones a stage
+reads.
 
 Integration is adaptive explicit Runge-Kutta, DOP853 (Hairer, Norsett &
 Wanner, Solving Ordinary Differential Equations I, 2nd ed., 1993: II.4
@@ -33,6 +37,7 @@ event point that lands beyond it, is also BoundaryReached, at the latest
 state inside the chart.
 """
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -102,11 +107,23 @@ class Trajectory:
 
 def _rhs(model, p2):
     """(dq1, dq2, dp1)/dt at (q1, p1) as Python floats; dp2/dt is 0."""
+    kern, rho, xi = FAMILY[model.family].kernel, model.rho, model.xi
+
     def f(q1, p1):
-        a, b, c = map(complex, kernel(model, complex(q1, _STEP)))
+        a, b, c = kern(rho, xi, complex(q1, _STEP), cmath)
         return (a.real * p1, b.real * p2,
                 -0.5 * (a.imag * p1**2 + b.imag * p2**2 + c.imag) / _STEP)
     return f
+
+
+def _stage(row, K):
+    """sum of a_i K_i over a sparse stage row, for q1 and p1 only."""
+    x = z = 0.0
+    for i, a in row:
+        k = K[i]
+        x += a * k[0]
+        z += a * k[2]
+    return x, z
 
 
 def _combine(row, K):
@@ -170,7 +187,7 @@ class _Dop853:
             h_abs = abs(h)
             K = [k0]
             for row in A:
-                x, _, z = _combine(row, K)
+                x, z = _stage(row, K)
                 K.append(f(q1 + x * h, p1 + z * h))
             x, w, z = _combine(B, K)
             y_new = (q1 + h * x, q2 + h * w, p1 + h * z)
@@ -203,7 +220,7 @@ class _Dop853:
         """Interpolant s -> (q1, q2, p1) over the last step; three RHS calls."""
         f, h, K, y_old = self.f, self.h, self.K, self.y_old
         for row in self.A_extra:
-            x, _, z = _combine(row, K)
+            x, z = _stage(row, K)
             K.append(f(y_old[0] + x * h, y_old[2] + z * h))
         self.nfev += 3
         dy = [v - u for v, u in zip(self.y, y_old)]
@@ -359,17 +376,19 @@ def _embedding_gap(model, za, zb):
 
 
 def closure_test(model, E, L, tol=1e-5):
-    """Integrate one radial libration and report phase-space closure.
+    """Integrate two radial periods of a libration and report phase-space closure.
 
     Starts at the perihelion (inner turning point, q2=0, p1=0).  The
     half period is located by the first downward crossing of p1=0 (the
     aphelion); the radial motion is symmetric in time about either
-    apsis, so the full radial period and its angular advance are twice
-    the aphelion values.  The advance should be pi for the closed
-    families (the curves depend on cos 2*phi).  The closure gap is
-    measured over two radial periods in embedding coordinates plus
-    momenta, so angle wrapping cannot fake a gap.  Raises NotBounded
-    on open regimes.
+    apsis, so the full radial period t_r and its angular advance are
+    twice the aphelion values.  The advance should be pi for the closed
+    families (the curves depend on cos 2*phi).  A second run goes on from
+    the aphelion state for 1.5 t_r, so each stretch of the two radial
+    periods is integrated once.  The closure gap compares the launch state
+    with the end state in embedding coordinates plus momenta, so angle
+    wrapping cannot fake a gap.  `nfev` counts the right-hand side
+    evaluations of all runs.  Raises NotBounded on open regimes.
     """
     regime = classify(model, E, L)
     if not regime.closed:
@@ -378,44 +397,36 @@ def closure_test(model, E, L, tol=1e-5):
     r0 = regime.turning_points[0]
     b0 = kernel(model, r0)[1]
     t_ang = 2.0 * math.pi / (b0 * L)
+    launch = (r0, 0.0, 0.0, L)
+    start = PhasePoint(*launch)
 
     if regime.eccentricity == 0.0:
-        # circular orbit: phi advances uniformly, radial motion frozen
-        start = PhasePoint(r0, 0.0, 0.0, L)
-        t_r = 0.5 * t_ang
-        traj = integrate(model, start, t_r, tol=itol, samples=3)
-        advance = traj.states[-1, 1] - traj.states[0, 1]
-        traj2 = integrate(model, start, 2.0 * t_r, tol=itol, samples=3)
-        gap = _embedding_gap(model, traj2.states[0], traj2.states[-1])
-        return {
-            "closed": bool(gap < tol),
-            "period": 2.0 * t_r,
-            "radial_period": t_r,
-            "angular_advance": float(advance),
-            "gap": float(gap),
-        }
-
-    # p1 rises from exactly 0 at launch, so only the aphelion crossing
-    # (downward) is sign-safe to detect by event
-    start = PhasePoint(r0, 0.0, 0.0, L)
-    t_max = 10.0 * t_ang
-    t_r = None
-    for _ in range(6):
-        _, hit = _solve(model, start, t_max, itol, 0, stop=lambda y: y[2])
-        if hit is not None:
-            t_r = 2.0 * hit[0]
-            advance = 2.0 * hit[1].q2
-            break
-        t_max *= 8.0
-    if t_r is None:
-        raise StepFailure("no radial period found within the time budget")
-
-    traj2 = integrate(model, start, 2.0 * t_r, tol=itol, samples=5)
-    gap = _embedding_gap(model, traj2.states[0], traj2.states[-1])
+        # circular orbit: phi advances uniformly and the radial motion is
+        # frozen, so half a radial period is a quarter of the angular one
+        t_half = 0.25 * t_ang
+        traj = integrate(model, start, t_half, tol=itol, samples=0)
+        nfev, hit = traj.nfev, (t_half, traj.point(-1))
+    else:
+        # p1 rises from exactly 0 at launch, so only the aphelion crossing
+        # (downward) is sign-safe to detect by event
+        t_max, nfev = 10.0 * t_ang, 0
+        for _ in range(6):
+            traj, hit = _solve(model, start, t_max, itol, 0, stop=lambda y: y[2])
+            nfev += traj.nfev
+            if hit is not None:
+                break
+            t_max *= 8.0
+        else:
+            raise StepFailure("no radial period found within the time budget")
+    t_half, apsis = hit
+    t_r = 2.0 * t_half
+    traj = integrate(model, apsis, 1.5 * t_r, tol=itol, samples=0)
+    gap = _embedding_gap(model, launch, traj.states[-1])
     return {
         "closed": bool(gap < tol),
         "period": 2.0 * t_r,
         "radial_period": t_r,
-        "angular_advance": advance,
+        "angular_advance": float(2.0 * apsis.q2),
         "gap": float(gap),
+        "nfev": nfev + traj.nfev,
     }

@@ -14,8 +14,9 @@ closed-orbit and quantum entry points all read it.  The two families with
 closed orbits carry a `Radial` row: their radial motion is one quadratic in
 u, read through that row by the classifier, the curve residual and the
 action quadrature, and the row's E(J), J(E) and quantum xi shift are the
-closed forms of the actions and the spectrum.  Per-family formulas
-(kernel, curvature, embedding, generators) stay as one chain each.
+closed forms of the actions and the spectrum.  Each row also holds the
+family's kernel formula, so `kernel` is one lookup; curvature, embedding
+and generators stay as one chain each.
 
 Every Hamiltonian has the shape H = (a(q1) p1^2 + b(q1) p2^2 + c(q1)) / 2,
 so the metric is diag(1/a, 1/b) and the potential is c/2.  All coordinate
@@ -25,6 +26,7 @@ finite out to chi = 200 (the eigensolve's longest domain): no product
 there may overflow where the ratio it feeds does not.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -73,6 +75,7 @@ class Family:
     rho: tuple                  # admissible open rho interval (lo, hi)
     constant_curvature: tuple   # rho values where the metric degenerates
     chart: object               # rho -> open q1 interval (lo, hi)
+    kernel: object              # (rho, xi, q1, xp) -> (a, b, c); see `kernel`
     angle: bool = False         # q2 is an angle on [0, 2*pi)
     radial: Radial = None       # set where orbits close: actions and spectra
 
@@ -81,16 +84,48 @@ def _half_line(rho):
     return 0.0, math.inf
 
 
+# -- Kernel formulas, one per family; `kernel` picks the namespace xp ----
+
+def _trig_kernel(rho, xi, q1, xp):
+    W = 1.0 - rho * xp.cos(q1)
+    s2 = xp.sin(q1) ** 2
+    return s2 / W, s2 / W, xi / W
+
+
+def _h0_kernel(rho, xi, q1, xp):
+    W = 1.0 + rho * q1**2
+    return 1.0 / W, 1.0 / (q1**2 * W), xi * q1**2 / W
+
+
+def _hplus_kernel(rho, xi, q1, xp):
+    s, c = xp.sinh(q1), xp.cosh(q1)
+    W = 1.0 + rho * s**2
+    a = c**2 / W
+    return a, a / s**2, xi * s**2 / W
+
+
+def _hminus_kernel(rho, xi, q1, xp):
+    S = xp.sinh(q1) + rho
+    c2 = xp.cosh(q1) ** 2
+    return c2 / S, c2 / S, xi / S
+
+
+def _affine_kernel(rho, xi, q1, xp):
+    W = 1.0 + rho * q1**2
+    return q1**2 / W, q1**2 / W, xi / W
+
+
 FAMILY = {
-    "trig": Family((0.0, 1.0), (0.0, 1.0, -1.0), lambda rho: (0.0, math.pi)),
-    "h0": Family((0.0, math.inf), (0.0,), _half_line, angle=True,
+    "trig": Family((0.0, 1.0), (0.0, 1.0, -1.0), lambda rho: (0.0, math.pi), _trig_kernel),
+    "h0": Family((0.0, math.inf), (0.0,), _half_line, _h0_kernel, angle=True,
                  radial=Radial(0.0, lambda r: r * r, math.sqrt, math.inf, 0.0)),
-    "hplus": Family((0.0, math.inf), (1.0,), _half_line, angle=True,
+    "hplus": Family((0.0, math.inf), (1.0,), _half_line, _hplus_kernel, angle=True,
                     radial=Radial(1.0, lambda chi: math.tanh(chi) ** 2,
                                   lambda u: math.atanh(math.sqrt(u)), 1.0, 0.25)),
     # sinh x + rho > 0
-    "hminus": Family((-math.inf, math.inf), (), lambda rho: (math.asinh(-rho), math.inf)),
-    "affine": Family((0.0, math.inf), (0.0,), _half_line),
+    "hminus": Family((-math.inf, math.inf), (), lambda rho: (math.asinh(-rho), math.inf),
+                     _hminus_kernel),
+    "affine": Family((0.0, math.inf), (0.0,), _half_line, _affine_kernel),
 }
 
 FAMILIES = tuple(FAMILY)
@@ -161,29 +196,16 @@ def make_point(model, q1, q2, p1, p2):
 # -- Hamiltonian kernel -------------------------------------------------
 
 def kernel(model, q1):
-    """Coefficients (a, b, c) with H = (a p1^2 + b p2^2 + c)/2."""
-    rho, xi = model.rho, model.xi
-    fam = model.family
-    if fam == "trig":
-        W = 1.0 - rho * np.cos(q1)
-        s2 = np.sin(q1) ** 2
-        return s2 / W, s2 / W, xi / W
-    if fam == "h0":
-        W = 1.0 + rho * q1**2
-        return 1.0 / W, 1.0 / (q1**2 * W), xi * q1**2 / W
-    if fam == "hplus":
-        s, c = np.sinh(q1), np.cosh(q1)
-        W = 1.0 + rho * s**2
-        a = c**2 / W
-        return a, a / s**2, xi * s**2 / W
-    if fam == "hminus":
-        S = np.sinh(q1) + rho
-        c2 = np.cosh(q1) ** 2
-        return c2 / S, c2 / S, xi / S
-    if fam == "affine":
-        W = 1.0 + rho * q1**2
-        return q1**2 / W, q1**2 / W, xi / W
-    raise DomainError(f"unknown family {fam!r}")
+    """Coefficients (a, b, c) with H = (a p1^2 + b p2^2 + c)/2.
+
+    One formula per family, held by its `FAMILY` row, serves both
+    namespaces: cmath for a Python complex (the flow's complex step), numpy
+    for everything else (floats, arrays, numpy complex).  So each formula
+    stays analytic in q1 and uses only functions that numpy and cmath both
+    provide.
+    """
+    xp = cmath if type(q1) is complex else np
+    return FAMILY[model.family].kernel(model.rho, model.xi, q1, xp)
 
 
 def hamiltonian(model, point):

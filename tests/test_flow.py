@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from koenigs import flow
 from koenigs.errors import BoundaryReached, NotBounded
 from koenigs.flow import _rhs, closure_test, drift_report, integrate
 from koenigs.geodesics import classify, curve_residual, start_point
@@ -14,6 +15,7 @@ from koenigs.models import (
     PhasePoint,
     chart_margin,
     hamiltonian,
+    kernel,
     make_model,
     make_point,
 )
@@ -79,6 +81,19 @@ def test_rhs_matches_central_differences_of_hamiltonian(family):
 
         for got, want in ((dp1, -dH(0)), (dq1, dH(2)), (dq2, dH(3))):
             assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (q1, got, want)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_rhs_real_parts_are_the_float_kernel(family):
+    # the real parts of the complex step are a and b at q1; cmath's sinh and
+    # cosh differ from numpy's float64 ones by up to 2 ulp, and the hplus b
+    # chains six of them
+    model = _VERIFY_MODELS[family]
+    q1 = _random_points(model, np.random.default_rng(13), 5000).q1.tolist()
+    f = _rhs(model, 1.0)
+    got = np.array([f(x, 1.0)[:2] for x in q1])
+    want = np.array([kernel(model, x)[:2] for x in q1])
+    assert np.all(np.abs(got - want) <= 16.0 * np.spacing(np.abs(want)))
 
 
 def test_hminus_edge_stops_the_run():
@@ -163,17 +178,29 @@ def _edge_run(name):
     if name == "trig-e0_arcs-8x":
         model, regime = _regime(REGIME_CASES[0])
         return model, start_point(regime), 8.0 * flow_span("e0_arcs", 0.0), 1e-10
-    return make_model("hminus", 0.6, -0.5), PhasePoint(0.5, 0.0, -3.0, 0.0), 5.0, 1e-8
+    ulps = int(name.removeprefix("hminus-fall").removesuffix("ulp") or 0)
+    p1 = -3.0 + ulps * math.ulp(3.0)
+    return make_model("hminus", 0.6, -0.5), PhasePoint(0.5, 0.0, p1, 0.0), 5.0, 1e-8
 
 
-@pytest.mark.parametrize("name", ["trig-e0_arcs-8x", "hminus-fall"])
+@pytest.mark.parametrize("name", ["trig-e0_arcs-8x", "hminus-fall",
+                                  *(f"hminus-fall{k:+d}ulp" for k in range(-6, 7) if k)])
 def test_edge_time_matches_solve_ivp(name):
+    # the oracle ends at its edge event or, where the flow outruns the step
+    # control (hminus), gives up within 1e-6 of the edge; a start a few ulp
+    # away can end either way, and `integrate` stops at the oracle's end
     model, start, span, tol = _edge_run(name)
     with pytest.raises(BoundaryReached) as excinfo:
         integrate(model, start, span, tol=tol, samples=0)
     sol = _oracle(model, start, span, tol, 0)
-    (t_event,) = [te[0] for te in sol.t_events if len(te)]
-    assert abs(excinfo.value.t - t_event) <= 1e-12
+    events = [te[0] for te in sol.t_events if len(te)]
+    if events:
+        (t_end,) = events
+    else:
+        assert sol.status == -1
+        assert abs(chart_margin(model, sol.y[0, -1])) < 1e-6
+        t_end = sol.t[-1]
+    assert abs(excinfo.value.t - t_end) <= 1e-12
 
 
 def test_solver_failure_names_where_it_happened():
@@ -263,6 +290,24 @@ def test_closure_hplus_window(hplus_model):
     assert report["closed"]
     assert report["gap"] < 1e-5
     assert report["angular_advance"] == pytest.approx(math.pi, abs=1e-6)
+
+
+@pytest.mark.parametrize("family, rho, xi, E, L",
+                         [("h0", 0.8, 1.1, 0.5, 0.5), ("hplus", 2.0, 8.0, 1.8, 1.0)])
+def test_closure_integrates_each_stretch_once(monkeypatch, family, rho, xi, E, L):
+    # launch to aphelion, then on for 1.5 radial periods: the runs cover
+    # the two radial periods once, and the report counts their evaluations
+    runs = []
+    solve = flow._solve
+
+    def recorded(*args, **kwargs):
+        traj, hit = solve(*args, **kwargs)
+        runs.append(traj)
+        return traj, hit
+    monkeypatch.setattr(flow, "_solve", recorded)
+    report = closure_test(make_model(family, rho, xi), E, L, tol=1e-5)
+    assert sum(traj.t[-1] for traj in runs) == pytest.approx(report["period"], rel=1e-9)
+    assert report["nfev"] == sum(traj.nfev for traj in runs)
 
 
 def test_closure_rejects_unbounded_regime(hplus_model):

@@ -19,7 +19,7 @@ from koenigs.models import (
     metric_components,
     scalar_curvature,
 )
-from koenigs.verify import _VERIFY_MODELS
+from koenigs.verify import _VERIFY_MODELS, _random_points
 
 
 def test_families_tuple():
@@ -97,6 +97,19 @@ def test_h0_kernel_at_unit_radius():
     assert a == pytest.approx(1.0 / w)
     assert b == pytest.approx(1.0 / w)
     assert c == pytest.approx(1.1 / w)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_kernel_formula_agrees_in_cmath_and_numpy(family):
+    # one formula serves both namespaces: a Python complex (the flow's
+    # complex step) runs on cmath, a complex array on numpy
+    model = _VERIFY_MODELS[family]
+    q1 = _random_points(model, np.random.default_rng(13), 5000).q1 + 1e-30j
+    want = np.array(kernel(model, q1))
+    got = np.array([kernel(model, complex(z)) for z in q1]).T
+    for part in (np.real, np.imag):
+        gap = np.abs(part(got) - part(want))
+        assert np.all(gap <= 8.0 * np.spacing(np.abs(part(want)))), family
 
 
 def test_hamiltonian_direct_substitution():
