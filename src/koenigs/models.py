@@ -93,15 +93,16 @@ def _trig_kernel(rho, xi, q1, xp):
 
 
 def _h0_kernel(rho, xi, q1, xp):
-    W = 1.0 + rho * q1**2
-    return 1.0 / W, 1.0 / (q1**2 * W), xi * q1**2 / W
+    r2 = q1**2
+    W = 1.0 + rho * r2
+    return 1.0 / W, 1.0 / (r2 * W), xi * r2 / W
 
 
 def _hplus_kernel(rho, xi, q1, xp):
-    s, c = xp.sinh(q1), xp.cosh(q1)
-    W = 1.0 + rho * s**2
-    a = c**2 / W
-    return a, a / s**2, xi * s**2 / W
+    s2 = xp.sinh(q1) ** 2
+    W = 1.0 + rho * s2
+    a = xp.cosh(q1) ** 2 / W
+    return a, a / s2, xi * s2 / W
 
 
 def _hminus_kernel(rho, xi, q1, xp):

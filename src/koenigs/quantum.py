@@ -18,12 +18,14 @@ On a cell-centred grid that is a symmetric tridiagonal matrix whose
 eigenvalues LAPACK finds by bisection with Sturm counts.  The grid error is
 a series in h^2, so three grids, h = 0.02, 0.01 and 0.005, all ending at the
 same x, extrapolate away its h^2 and h^4 terms; the eigenfunction residual
-applies the same operator.  Neither consults the closed forms.  The HypPlus
-count law is the difference of the matrix's Sturm counts at 0 and just
-below the well edge, with no level refined, on a grid of its own
-(h = 0.004).  The eigensolve is the only user of scipy here: scipy.linalg
-loads at the first solve, and the closed forms, eigenfunctions and
-residuals need numpy only.
+applies the same operator, summed over stretches of 4096 grid points.
+Neither consults the closed forms.  The HypPlus count law is certified by
+Dirichlet-Neumann bracketing on a grid of its own (h = 0.004): the Sturm
+counts just below the well edge with a Dirichlet and with a Robin outer end
+bound the count from below and above, and the domain doubles from chi = 10
+until they agree, up to chi = 200.  The eigensolve is the only user of
+scipy here: scipy.linalg loads at the first solve, and the closed forms,
+eigenfunctions and residuals need numpy only.
 """
 
 import math
@@ -101,6 +103,11 @@ _X_MAX = 200.0
 # lowest eigenvalues solved so far per (model, |m|), oldest entry evicted first
 _LEVEL_CACHE_CAP = 64
 _LEVELS = {}
+# grid points per stretch of the residual sums: its arrays, 32 KB each, stay
+# well under glibc's default 128 KB mmap and trim thresholds, so the sums
+# reuse heap pages, where one pass over a 16 000-point grid faults in fresh
+# ones on every call
+_BLOCK = 4096
 
 
 def _flux_coefficients(model, m, x):
@@ -113,21 +120,41 @@ def _flux_coefficients(model, m, x):
     a, b, c = kernel(model, x)
     root = np.sqrt(a * b)
     p = np.sqrt(a / b)
-    return p, m**2 / p + c / root, 2.0 / root
+    V = c / root
+    if m:  # the centrifugal term m^2/p
+        V += m**2 / p
+    return p, V, 2.0 / root
 
 
-def _eigenvalues(model, m, x_max, h, **select):
-    """Selected eigenvalues of the flux form on a cell-centred grid over [0, x_max].
+def _flux_p(model, x):
+    """p = sqrt(a/b) alone, as `_flux_coefficients` has it, for the cell faces.
 
-    Cells [i h, (i + 1) h]; the flux through the axis face is p(0) = 0 and the
-    solution vanishes one cell beyond x_max.  Symmetrised by sqrt(w), the
-    matrix goes to LAPACK bisection with Sturm counts.
+    The scheme needs p on the faces and V, w at the centres; this skips the
+    c, V and w that the faces do not use.
+    """
+    a, b, _ = kernel(model, x)
+    return np.sqrt(a / b)
+
+
+def _flux_matrix(model, m, x_max, h):
+    """Symmetrised flux form on a cell-centred grid over [0, x_max].
+
+    Cells [i h, (i + 1) h]; the flux through the axis face is p(0) = 0 and
+    the solution vanishes one cell beyond x_max.  Returns the diagonal, the
+    off-diagonal and the outer face's term p(x_max) / (h^2 w) of the last
+    diagonal entry.
     """
     faces = h * np.arange(1, int(round(x_max / h)) + 1)
-    p = np.concatenate(([0.0], _flux_coefficients(model, m, faces)[0]))
+    p = np.concatenate(([0.0], _flux_p(model, faces)))
     _, V, w = _flux_coefficients(model, m, faces - 0.5 * h)
     diag = ((p[:-1] + p[1:]) / h**2 + V) / w
     off = -p[1:-1] / (h**2 * np.sqrt(w[:-1] * w[1:]))
+    return diag, off, p[-1] / (h**2 * w[-1])
+
+
+def _eigenvalues(model, m, x_max, h, **select):
+    """Selected eigenvalues of `_flux_matrix`, by LAPACK bisection with Sturm counts."""
+    diag, off, _ = _flux_matrix(model, m, x_max, h)
     from scipy.linalg import eigh_tridiagonal
 
     return eigh_tridiagonal(diag, off, eigvals_only=True, **select)
@@ -155,7 +182,10 @@ def _solve_levels(model, m, k):
 
     The search solves on the coarsest grid, with the outer end snapped up to
     a whole number of its cells, so all three grids end at the same x and
-    the last search solve is the coarse term of the extrapolation.
+    the last search solve is the coarse term of the extrapolation.  A
+    HypPlus level above the edge on the current domain is judged by the
+    count bracket: NoBoundState when the Robin count is at most k,
+    ConvergenceFailure when only the Dirichlet count is.
     """
     h = _H_GRIDS[0]
     x_max = _X_START
@@ -168,10 +198,17 @@ def _solve_levels(model, m, k):
             need = _decay_length(model, coarse[-1])
         if need <= 1.05 * x_max:  # the slack stops round-off in E forcing more passes
             break
-        if need == math.inf and model.family == "hplus" and count_bound_levels(model, m) <= k:
-            raise NoBoundState(
-                f"no level k={k} for m={m}: the HypPlus well holds fewer states"
-            )
+        if need == math.inf and model.family == "hplus":
+            low, high, x_count = _count_bracket(model, m)
+            if high <= k:
+                raise NoBoundState(
+                    f"no level k={k} for m={m}: the HypPlus well holds fewer states"
+                )
+            if low <= k:
+                raise ConvergenceFailure(
+                    f"level k={k}, m={m} not settled: the HypPlus well holds between"
+                    f" {low} (Dirichlet) and {high} (Robin) levels on chi up to {x_count:g}"
+                )
         if x_max >= _X_MAX:
             raise ConvergenceFailure(
                 f"level k={k}, m={m} not settled on the longest domain {_X_MAX:g}"
@@ -217,23 +254,57 @@ def shoot_eigenvalue(model, m, k):
     return levels[k]
 
 
-def count_bound_levels(model, m):
-    """Number of bound radial levels for angular number m, by Sturm count.
+def _count_bracket(model, m):
+    """Dirichlet and Robin counts of levels in (0, edge (1 - 1e-6)], and their domain.
 
-    Eigenvalues in (0, edge (1 - 1e-6)] on the longest domain: the
-    difference of the Sturm counts at the two ends of that interval.  The
-    bisection tolerance is the interval width, so LAPACK counts the levels
-    without refining any of them.  Independent of the closed-form count.
+    Both count on one matrix over [0, X] on the h = 0.004 grid; the Robin
+    end, zero slope of u = e^(chi/2) y, puts p(X) h/2 in place of p(X) in
+    the last diagonal entry.  Dirichlet-Neumann bracketing makes the two a
+    lower and an upper bound on the count of the whole line.  X starts at
+    10 and doubles, up to 200, until the two agree.  The bisection
+    tolerance is the interval width, so LAPACK counts the levels without
+    refining any of them.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    probe = _edge(model) * (1.0 - 1e-6)
+
+    def count(diag, off):
+        return len(eigh_tridiagonal(
+            diag, off, eigvals_only=True, select="v", select_range=(0.0, probe), tol=probe
+        ))
+
+    x_max = _X_START
+    while True:
+        diag, off, face = _flux_matrix(model, m, x_max, _H_COUNT)
+        low = count(diag, off)
+        diag[-1] -= face * (1.0 - 0.5 * _H_COUNT)
+        high = count(diag, off)
+        if low == high or x_max >= _X_MAX:
+            return low, high, x_max
+        x_max = min(_X_MAX, 2.0 * x_max)
+
+
+def count_bound_levels(model, m):
+    """Number of bound radial levels for angular number m, certified by bracketing.
+
+    The Sturm counts below edge (1 - 1e-6) with a Dirichlet and a Robin
+    outer end bound the count from below and above; it is returned on the
+    first domain, chi up to 10, 20, 40, ... 200, where the two agree, and
+    ConvergenceFailure names both when they still differ at 200.
+    Independent of the closed-form count.
     """
     _require_quantum(model)
     if model.family == "h0":
         raise DomainError("the Hyp0 well is infinitely deep; the count diverges")
-    probe = _edge(model) * (1.0 - 1e-6)
-    found = _eigenvalues(
-        model, abs(int(m)), _X_MAX, _H_COUNT, select="v", select_range=(0.0, probe),
-        tol=probe,
-    )
-    return len(found)
+    m = abs(int(m))
+    low, high, x_max = _count_bracket(model, m)
+    if low != high:
+        raise ConvergenceFailure(
+            f"HypPlus count for m={m} not settled: Dirichlet {low}, Robin {high}"
+            f" on chi up to {x_max:g} at h={_H_COUNT:g}"
+        )
+    return low
 
 
 # -- residuals ---------------------------------------------------------------
@@ -245,7 +316,7 @@ def _radial_wave(model, level, q):
     sq = math.sqrt(delta)
     if model.family == "h0":
         zeta = sq * q**2
-        return np.exp(-zeta / 2.0) * zeta ** (mm / 2.0) * laguerre(n, mm, zeta)
+        return np.exp(-0.5 * zeta) * zeta ** (mm / 2.0) * laguerre(n, mm, zeta)
     # sech(q)^(1/2 + sq) as (2 e^-q / (1 + e^-2q))^(1/2 + sq): cosh(q)
     # overflows past q = 710, where the factor itself only underflows to 0
     t, e = np.tanh(q), np.exp(-q)
@@ -255,7 +326,9 @@ def _radial_wave(model, level, q):
 def schrodinger_residual(model, level, h=1e-3):
     """Relative w-weighted L2 residual of (H - E) psi, H in flux form on step h.
 
-    Second order: halving h should shrink the value about fourfold.
+    Second order: halving h should shrink the value about fourfold.  The
+    sums run over stretches of `_BLOCK` grid points, each with one point of
+    overlap at either end.
     """
     _require_quantum(model)
     E, m = level.E, level.m
@@ -267,12 +340,24 @@ def schrodinger_residual(model, level, h=1e-3):
         q_max = math.sqrt((45.0 + 10.0 * level.n) / sq)
     else:
         q_max = max(10.0, 0.5 * math.log(_xi_eff(model) / delta) + 28.0 / (0.5 + sq))
-    q = np.arange(2 * h, q_max + h, h)
-    psi = _radial_wave(model, level, q)
-    p = _flux_coefficients(model, m, q[:-1] + 0.5 * h)[0]
-    _, V, w = _flux_coefficients(model, m, q[1:-1])
-    psi, flux = psi[1:-1], p * np.diff(psi)
-    res = (-np.diff(flux) / h**2 + V * psi) / w - E * psi
-    num = float(np.sum(w * res**2))
-    den = float(np.sum(w * psi**2))
+    # grid q_j = (j + 2) h, j < n, the points of np.arange(2 h, q_max + h, h);
+    # the residual lives on the interior points 1 <= j <= n - 2
+    n = math.ceil((q_max + h - 2.0 * h) / h)
+    num = den = 0.0
+    for lo in range(1, n - 1, _BLOCK):
+        hi = min(lo + _BLOCK, n - 1)
+        q = h * np.arange(lo + 1, hi + 3)
+        psi = _radial_wave(model, level, q)
+        flux = psi[1:] - psi[:-1]
+        flux *= _flux_p(model, q[:-1] + 0.5 * h)
+        _, V, w = _flux_coefficients(model, m, q[1:-1])
+        psi = psi[1:-1]
+        # w (H - E) psi = -(p psi')' + (V - E w) psi, and w res^2 = (w res)^2 / w
+        V -= E * w
+        V *= psi
+        wres = flux[:-1] - flux[1:]
+        wres *= 1.0 / h**2
+        wres += V
+        num += float(np.dot(wres, wres / w))
+        den += float(np.dot(psi, w * psi))
     return math.sqrt(num / den)
