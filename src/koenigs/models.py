@@ -88,8 +88,8 @@ def _half_line(rho):
 
 def _trig_kernel(rho, xi, q1, xp):
     W = 1.0 - rho * xp.cos(q1)
-    s2 = xp.sin(q1) ** 2
-    return s2 / W, s2 / W, xi / W
+    a = xp.sin(q1) ** 2 / W
+    return a, a, xi / W
 
 
 def _h0_kernel(rho, xi, q1, xp):
@@ -107,13 +107,15 @@ def _hplus_kernel(rho, xi, q1, xp):
 
 def _hminus_kernel(rho, xi, q1, xp):
     S = xp.sinh(q1) + rho
-    c2 = xp.cosh(q1) ** 2
-    return c2 / S, c2 / S, xi / S
+    a = xp.cosh(q1) ** 2 / S
+    return a, a, xi / S
 
 
 def _affine_kernel(rho, xi, q1, xp):
-    W = 1.0 + rho * q1**2
-    return q1**2 / W, q1**2 / W, xi / W
+    u2 = q1**2
+    W = 1.0 + rho * u2
+    a = u2 / W
+    return a, a, xi / W
 
 
 FAMILY = {

@@ -167,7 +167,10 @@ def coefficient_oracle(n, m, n1, n2):
 
     Gauss-Laguerre in zeta and the trapezoid rule in phi (exact for the
     trigonometric polynomials that occur).  The projection divides by the
-    H_{n1,n2} norm 2pi * 2^{n1+n2} n1! n2!.
+    H_{n1,n2} norm 2pi * 2^{n1+n2} n1! n2!.  The grid is two broadcast
+    axes, nodes[:, None] and phi[None, :]: e^zeta, e^{-zeta/2}, sqrt(zeta)
+    and the Laguerre factor run on the nodes and e^{i m phi} on the angles;
+    only the Hermite factors and the products fill the whole grid.
     """
     for v in (n, n1, n2):
         if v < 0 or int(v) != v:
@@ -178,11 +181,12 @@ def coefficient_oracle(n, m, n1, n2):
     n_zeta = max(48, deg + 8)
     n_phi = max(16, 8 * (deg + 1))
     nodes, weights = _laguerre_rule(n_zeta)
-    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    Z, P = np.meshgrid(nodes, phi, indexing="ij")
+    zeta = nodes[:, None]
+    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)[None, :]
     # weight e^{-zeta} is the Gauss-Laguerre measure; the two e^{-zeta/2}
     # factors of the integrand supply exactly that
-    integrand = np.exp(Z) * _cartesian_mode(n1, n2, Z, P) * _oscillator_mode(n, m, Z, P)
+    integrand = (np.exp(zeta) * _cartesian_mode(n1, n2, zeta, phi)
+                 * _oscillator_mode(n, m, zeta, phi))
     integral = np.sum(weights[:, None] * integrand) * (2.0 * math.pi / n_phi)
     norm = 2.0 * math.pi * 2.0 ** (n1 + n2) * math.factorial(n1) * math.factorial(n2)
     value = complex(integral) / norm

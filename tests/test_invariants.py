@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from koenigs.invariants import (
+    _STRETCH,
+    _gradients,
     algebra_residuals,
     conserved_functions,
     conserved_set,
@@ -169,3 +171,84 @@ def test_algebra_residuals_on_arrays_match_scalar_calls():
             for key, val in scalar.items():
                 assert arr[key].shape == (12,)
                 assert arr[key][i] == pytest.approx(val, rel=1e-12, abs=1e-9), (family, key)
+
+
+def _same_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_three_call_stencil_matches_reference_bitwise_on_arrays():
+    # sizes on both sides of the stretch boundary, and several stretches
+    rng = np.random.default_rng(23)
+    for family, model in _VERIFY_MODELS.items():
+        funcs = conserved_functions(model)
+        for n in (1, _STRETCH - 1, _STRETCH, _STRETCH + 1, 20000):
+            pts = _random_points(model, rng, n)
+            for name in ("L", "S1", "S2"):
+                got = poisson_bracket(funcs["E"], funcs[name], pts, model=model)
+                ref = _stencil_reference(funcs["E"], funcs[name], pts)
+                assert _same_bits(got, ref), (family, n, name)
+
+
+def test_three_call_stencil_matches_reference_on_2d_and_mixed_fields():
+    rng = np.random.default_rng(29)
+    for family, model in _VERIFY_MODELS.items():
+        funcs = conserved_functions(model)
+        pts = _random_points(model, rng, 40 * 60)
+        grid = PhasePoint(*(v.reshape(40, 60) for v in (pts.q1, pts.q2, pts.p1, pts.p2)))
+        # each coordinate in turn is a Python float, the others arrays; its
+        # shifted values are squared as a (k, 1) array here and by pow in the
+        # reference, which can differ by one ulp but agree at these points
+        mixed = [PhasePoint(*(float(v[0]) if i == k else v
+                              for i, v in enumerate((pts.q1, pts.q2, pts.p1, pts.p2))))
+                 for k in range(4)]
+        for point in [grid] + mixed:
+            for name in ("L", "S1", "S2"):
+                got = poisson_bracket(funcs["E"], funcs[name], point, model=model)
+                ref = _stencil_reference(funcs["E"], funcs[name], point)
+                assert _same_bits(got, ref), (family, name, np.shape(point.q1), np.shape(point.q2))
+
+
+def test_stencil_makes_three_calls_per_stretch():
+    model = make_model("h0", 0.8, 1.1)
+    calls = []
+
+    def func(z):
+        calls.append(np.shape(z.q1))
+        return (z.q1,)
+
+    _gradients(func, _random_points(model, np.random.default_rng(31), 2 * _STRETCH + 1))
+    # q1 is stacked in the first call of each stretch only
+    assert calls == [(2, _STRETCH), (_STRETCH,), (_STRETCH,)] * 2 + [(2, 1), (1,), (1,)]
+    # a scalar point takes the eight shifted points one call each
+    calls.clear()
+    _gradients(func, PhasePoint(1.2, 0.3, 0.5, -0.4))
+    assert len(calls) == 8
+
+
+def test_unshifted_entry_differences_to_exact_zero_and_keeps_nan():
+    model = make_model("h0", 0.8, 1.1)
+    pts = _random_points(model, np.random.default_rng(37), _STRETCH + 5)
+    p1 = pts.p1.copy()
+    p1[[3, _STRETCH + 2]] = np.nan
+    pts = PhasePoint(pts.q1, pts.q2, p1, pts.p2)
+    dL, dp1 = _gradients(lambda z: (z.p2, z.p1), pts)
+    for d in dL[:2]:  # L = p2 does not move with q1 or q2: +0.0
+        assert _same_bits(d, np.zeros(_STRETCH + 5))
+    assert np.array_equal(np.isnan(dp1[0]), np.isnan(p1))
+    assert np.all(dp1[0][~np.isnan(p1)] == 0.0)
+    (dL,) = _gradients(lambda z: (z.p2,), PhasePoint(1.2, 0.3, math.nan, -0.4))
+    assert dL[:2] == (0.0, 0.0)
+
+
+def test_chart_guard_covers_the_last_stretch():
+    model = make_model("trig", 0.5, 0.7)
+    pts = _random_points(model, np.random.default_rng(41), 2 * _STRETCH + 7)
+    funcs = conserved_functions(model)
+    poisson_bracket(funcs["E"], funcs["L"], pts, model=model)
+    q1 = pts.q1.copy()
+    q1[-1] = 1e-7
+    with pytest.raises(ChartError):
+        poisson_bracket(funcs["E"], funcs["L"], PhasePoint(q1, pts.q2, pts.p1, pts.p2),
+                        model=model)

@@ -7,7 +7,9 @@ from scipy import special as sps
 from koenigs.actions import _legendre_rule
 from koenigs.errors import DomainError
 from koenigs.specfun import (
+    _cartesian_mode,
     _laguerre_rule,
+    _oscillator_mode,
     basis_coefficients,
     coefficient_oracle,
     hermite,
@@ -141,3 +143,26 @@ def test_oracle_same_with_cold_and_warm_rule():
     assert _laguerre_rule.cache_info().currsize > 0
     warm = [coefficient_oracle(*c) for c in cases]
     assert cold == warm
+
+
+def _meshgrid_oracle(n, m, n1, n2):
+    # the oracle's quadrature with every factor evaluated on the full grid
+    deg = 2 * n + abs(m) + n1 + n2
+    n_phi = max(16, 8 * (deg + 1))
+    nodes, weights = _laguerre_rule(max(48, deg + 8))
+    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    Z, P = np.meshgrid(nodes, phi, indexing="ij")
+    integrand = np.exp(Z) * _cartesian_mode(n1, n2, Z, P) * _oscillator_mode(n, m, Z, P)
+    integral = np.sum(weights[:, None] * integrand) * (2.0 * math.pi / n_phi)
+    norm = 2.0 * math.pi * 2.0 ** (n1 + n2) * math.factorial(n1) * math.factorial(n2)
+    return complex(integral) / norm
+
+
+def test_broadcast_oracle_matches_meshgrid_bitwise():
+    for n in range(4):
+        for m in range(-(6 - 2 * n), 7 - 2 * n):
+            N = 2 * n + abs(m)
+            for total in (N - 2, N, N + 2):
+                for n1 in range(total + 1):
+                    args = (n, m, n1, total - n1)
+                    assert coefficient_oracle(*args) == _meshgrid_oracle(*args), args
