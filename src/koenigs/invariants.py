@@ -128,14 +128,16 @@ def _gradients(func, point, h=1e-5, model=None):
     """
     z = (point.q1, point.q2, point.p1, point.p2)
     steps = [h * np.maximum(1.0, np.abs(v)) for v in z]
+    scalar = all(np.isscalar(v) for v in z)
     if model is not None:
-        lo = np.min(np.atleast_1d(z[0] - steps[0]))
-        hi = np.max(np.atleast_1d(z[0] + steps[0]))
+        lo, hi = z[0] - steps[0], z[0] + steps[0]
+        if not scalar:  # on a scalar point the reductions cost 12% of a call
+            lo, hi = np.min(lo), np.max(hi)
         if chart_margin(model, lo) <= 0 or chart_margin(model, hi) <= 0:
             raise ChartError(
                 f"bracket stencil around q1={point.q1} leaves the chart"
             )
-    if all(np.isscalar(v) for v in z):
+    if scalar:
         return _stretch_gradients(func, z, steps, width=0)
     shape = np.broadcast_shapes(*(np.shape(v) for v in z))
 

@@ -22,8 +22,9 @@ Every Hamiltonian has the shape H = (a(q1) p1^2 + b(q1) p2^2 + c(q1)) / 2,
 so the metric is diag(1/a, 1/b) and the potential is c/2.  All coordinate
 functions below accept scalars or numpy arrays.  `kernel` must stay
 analytic in q1 (the flow differentiates it by complex step) and, on hplus,
-finite out to chi = 200 (the eigensolve's longest domain): no product
-there may overflow where the ratio it feeds does not.
+finite out to chi = 200.032 (the eigensolve's longest domain, 200 snapped
+up to whole cells of its 0.056 grid): no product there may overflow where
+the ratio it feeds does not.
 """
 
 import cmath

@@ -16,9 +16,9 @@ solves -(p y')' + V y = E w y with
 
 On a cell-centred grid that is a symmetric tridiagonal matrix whose
 eigenvalues LAPACK finds by bisection with Sturm counts.  The grid error is
-a series in h^2, so three grids, h = 0.02, 0.01 and 0.005, all ending at the
-same x, extrapolate away its h^2 and h^4 terms; the eigenfunction residual
-applies the same operator, summed over stretches of 4096 grid points.
+a series in h^2, so four grids, h = 0.056, 0.028, 0.014 and 0.007, all ending
+at the same x, extrapolate away its h^2, h^4 and h^6 terms; the eigenfunction
+residual applies the same operator, summed over stretches of 4096 grid points.
 Neither consults the closed forms.  The HypPlus count law is certified by
 Dirichlet-Neumann bracketing on a grid of its own (h = 0.004): the Sturm
 counts just below the well edge with a Dirichlet and with a Robin outer end
@@ -90,14 +90,17 @@ def eigenfunction(model, level, position):
 
 # -- flux-form eigensolve -----------------------------------------------------
 
-# Richardson triple for the second-order cell-centred scheme: each step
+# Richardson grids for the second-order cell-centred scheme: each step
 # halves the last, and the domain search runs on the first
-_H_GRIDS = (0.02, 0.01, 0.005)
+_H_GRIDS = (0.056, 0.028, 0.014, 0.007)
 # the level count keeps a finer grid of its own: a level a few 1e-6 below
-# the count's probe must not cross it, and the 0.02 grid moves levels more
+# the count's probe must not cross it, and the search's 0.056 grid moves
+# levels far more
 _H_COUNT = 0.004
 # outer end of the radial domain: first try, and the longest tried (r for
-# h0, chi for hplus); the hplus kernel stays finite up to the longest end
+# h0, chi for hplus), each snapped up to whole cells of the grid that runs
+# there, to 200.032 on the eigensolve's 0.056 grid; the hplus kernel stays
+# finite up to the longest end
 _X_START = 10.0
 _X_MAX = 200.0
 # lowest eigenvalues solved so far per (model, |m|), oldest entry evicted first
@@ -181,8 +184,10 @@ def _solve_levels(model, m, k):
     """Lowest k+1 radial eigenvalues, the domain sized from the top one.
 
     The search solves on the coarsest grid, with the outer end snapped up to
-    a whole number of its cells, so all three grids end at the same x and
-    the last search solve is the coarse term of the extrapolation.  A
+    a whole number of its cells, so all four grids end at the same x and
+    the last search solve is the coarsest term of the extrapolation.  Step
+    j of the Richardson loop combines neighbouring grids as
+    (4^j fine - coarse) / (4^j - 1), which removes the h^(2j) term.  A
     HypPlus level above the edge on the current domain is judged by the
     count bracket: NoBoundState when the Robin count is at most k,
     ConvergenceFailure when only the Dirichlet count is.
@@ -211,28 +216,28 @@ def _solve_levels(model, m, k):
                 )
         if x_max >= _X_MAX:
             raise ConvergenceFailure(
-                f"level k={k}, m={m} not settled on the longest domain {_X_MAX:g}"
+                f"level k={k}, m={m} not settled on the longest domain {x_max:g}"
             )
         x_max = min(_X_MAX, 2.0 * x_max if need == math.inf else need)
-    mid = _eigenvalues(model, m, x_max, _H_GRIDS[1], select="i", select_range=(0, k))
-    fine = _eigenvalues(model, m, x_max, _H_GRIDS[2], select="i", select_range=(0, k))
-    # (4 E_b - E_a)/3 removes the h^2 term of each pair, and 16:1 of those
-    # removes the h^4 term
-    r_coarse = (4.0 * mid - coarse) / 3.0
-    r_fine = (4.0 * fine - mid) / 3.0
-    return tuple(float(E) for E in (16.0 * r_fine - r_coarse) / 15.0)
+    table = [coarse] + [
+        _eigenvalues(model, m, x_max, h, select="i", select_range=(0, k)) for h in _H_GRIDS[1:]
+    ]
+    for j in range(1, len(table)):
+        f = 4.0**j
+        table = [(f * fine - coarse) / (f - 1.0) for coarse, fine in zip(table, table[1:])]
+    return tuple(float(E) for E in table[0])
 
 
 def shoot_eigenvalue(model, m, k):
     """k-th radial eigenvalue for angular number m, by a Sturm-Liouville eigensolve.
 
     Independent of the closed-form spectrum: the flux form of the radial
-    equation on cell-centred grids of step 0.02, 0.01 and 0.005, LAPACK
-    bisection with Sturm counts, and two Richardson steps that remove the
-    h^2 and h^4 terms of the grid error.  The outer end grows, on the 0.02
-    grid, until it covers the decay length of the solver's own k-th
-    eigenvalue; it is a whole number of 0.02 cells, so all three grids end
-    at the same x.
+    equation on cell-centred grids of step 0.056, 0.028, 0.014 and 0.007,
+    LAPACK bisection with Sturm counts, and three Richardson steps that
+    remove the h^2, h^4 and h^6 terms of the grid error.  The outer end
+    grows, on the 0.056 grid, until it covers the decay length of the
+    solver's own k-th eigenvalue; it is a whole number of 0.056 cells, so
+    all four grids end at the same x.
 
     One solve returns levels 0..k, and a later call for a higher k solves
     afresh; so ask each (model, |m|) for its highest level first.  Levels in

@@ -567,16 +567,22 @@ SPECTRUM_MODELS = tuple(
 
 def _check_spectrum_vs_shooting(rng):
     # the fixed models, then two deep h0 wells drawn from the seed, whose
-    # top levels reach E of 3 to 46
-    cases = list(SPECTRUM_MODELS)
+    # top levels reach E of 3 to 46, and two deep hplus wells, whose top
+    # levels reach E of about 57.  A drawn hplus level is kept while
+    # xi + 1/4 - 2 rho E >= 0.2: closer to the edge its density decays
+    # beyond chi = 200 and the solve raises ConvergenceFailure
+    cases = [case + (0.0,) for case in SPECTRUM_MODELS]
     for _ in range(2):
-        cases.append(("h0", float(rng.uniform(0.3, 3.0)), float(rng.uniform(20.0, 40.0)), 4, 4))
+        cases.append(("h0", float(rng.uniform(0.3, 3.0)), float(rng.uniform(20.0, 40.0)), 4, 4, 0.0))
+    for _ in range(2):
+        cases.append(("hplus", float(rng.uniform(0.3, 1.0)), float(rng.uniform(20.0, 40.0)), 4, 4, 0.2))
     worst = 0.0
-    for fam, rho, xi, n_max, m_max in cases:
+    for fam, rho, xi, n_max, m_max, gap in cases:
         model = make_model(fam, rho, xi)
+        xe = xi + FAMILY[fam].radial.xi_shift
         # highest n first: one solve per (model, |m|) returns every lower level
         for lv in sorted(quantum_mod.spectrum(model, n_max, m_max), key=lambda lv: -lv.n):
-            if lv.m < 0:
+            if lv.m < 0 or xe - 2.0 * rho * lv.E < gap:
                 continue
             diff = abs(quantum_mod.shoot_eigenvalue(model, lv.m, lv.n) - lv.E)
             worst = max(worst, diff)

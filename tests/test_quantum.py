@@ -86,10 +86,12 @@ def test_shooting_matches_formula_hplus_spot():
 
 def test_shooting_matches_formula_high_energy():
     # n = 4, m = 0 at E about 34: the h^4 term of a two-grid extrapolation
-    # on h = 0.004, 0.002 left 1.12e-8 here
-    model = make_model("h0", 0.339, 37.36)
-    level = [lv for lv in spectrum(model, 4, 0) if lv.n == 4][0]
-    assert shoot_eigenvalue(model, 0, 4) == pytest.approx(level.E, abs=1e-8)
+    # on h = 0.004, 0.002 left 1.12e-8 here; on the deep hplus well, E about
+    # 57, the h^6 term of three grids (0.02, 0.01, 0.005) left 1.079e-8
+    for fam, rho, xi in (("h0", 0.339, 37.36), ("hplus", 0.3094485822364786, 38.66447800450867)):
+        model = make_model(fam, rho, xi)
+        level = [lv for lv in spectrum(model, 4, 0) if lv.n == 4][0]
+        assert shoot_eigenvalue(model, 0, 4) == pytest.approx(level.E, abs=1e-8), fam
 
 
 def _record_grids(monkeypatch):
@@ -106,29 +108,33 @@ def _record_grids(monkeypatch):
     return calls
 
 
-def test_three_grids_share_the_domain_end(monkeypatch):
+def test_four_grids_share_the_domain_end(monkeypatch):
     # the top level (J = 9) of a shallow h0 well needs a domain past
-    # _X_START; the search end is snapped to whole 0.02 cells, so all
-    # three grids end at the same x
+    # _X_START; the search end is snapped up to whole 0.056 cells, so all
+    # four grids end at the same x
     calls = _record_grids(monkeypatch)
     quantum._solve_levels(make_model("h0", 1.0, 2.5), 0, 4)
-    assert len(calls) >= 4 and calls[0][0] == quantum._X_START
-    assert [h for _, h, _ in calls[-3:]] == [0.02, 0.01, 0.005]
-    ends = {x for x, _, _ in calls[-3:]}
-    assert len(ends) == 1 and ends.pop() > quantum._X_START
+    coarse = quantum._H_GRIDS[0]
+    assert len(calls) >= 5
+    assert [h for _, h, _ in calls[-4:]] == [0.056, 0.028, 0.014, 0.007]
+    ends = {x for x, _, _ in calls[-4:]}
+    assert len(ends) == 1 and ends.pop() > calls[0][0]
     for x, _, _ in calls:
-        assert abs(x / 0.02 - round(x / 0.02)) < 1e-9
+        assert abs(x / coarse - round(x / coarse)) < 1e-9
+    # the first end is the first whole number of cells at or past _X_START
+    assert 0.0 <= calls[0][0] - quantum._X_START < coarse
 
 
 def test_observed_order_is_two(monkeypatch):
-    # (E_0.02 - E_0.01)/(E_0.01 - E_0.005) near 4 says the error is c h^2
-    # plus higher even powers, as the extrapolation assumes.  The floor
-    # skips levels whose grid differences are 1e-9 or less: there rounding
-    # in the eigenvalues sets the ratio (3.1 to 4.4 at h0 rho 2, xi 1, m 2-3)
+    # (E_a - E_b)/(E_b - E_c) near 4 on every consecutive triple of grids
+    # says the error is c h^2 plus higher even powers, as the extrapolation
+    # assumes.  The floor skips levels whose grid differences are 1e-9 or
+    # less: there rounding in the eigenvalues sets the ratio (3.1 to 4.4 at
+    # h0 rho 2, xi 1, m 2-3)
     from koenigs.verify import SPECTRUM_MODELS
 
     calls = _record_grids(monkeypatch)
-    ratios = []
+    ratios = [[], []]  # the coarse and the fine triple
     for fam, rho, xi, n_max, m_max in SPECTRUM_MODELS:
         model = make_model(fam, rho, xi)
         for m in range(m_max + 1):
@@ -136,11 +142,28 @@ def test_observed_order_is_two(monkeypatch):
             if top is None:
                 continue
             quantum._solve_levels(model, m, top)
-            a, b, c = (found for _, _, found in calls[-3:])
-            settled = np.abs(a - b) > 1e-7 * np.maximum(1.0, np.abs(b))
-            ratios.extend((a - b)[settled] / (b - c)[settled])
-    assert len(ratios) >= 80  # of the 129 levels solved
-    assert 3.9 <= min(ratios) and max(ratios) <= 4.1
+            found = [f for _, _, f in calls[-4:]]
+            for i, (a, b, c) in enumerate(zip(found, found[1:], found[2:])):
+                settled = np.abs(a - b) > 1e-7 * np.maximum(1.0, np.abs(b))
+                ratios[i].extend((a - b)[settled] / (b - c)[settled])
+    for triple in ratios:
+        assert len(triple) >= 80  # of the 129 levels solved
+        assert 3.9 <= min(triple) and max(triple) <= 4.1
+
+
+def test_richardson_removes_three_even_powers(monkeypatch):
+    # grid eigenvalues that are exactly E0 + c1 h^2 + c2 h^4 + c3 h^6 come
+    # back as E0 to rounding; three grids, without the third step, miss
+    # by about 4e-7 here
+    E0 = np.array([0.5, 1.25, 2.0])
+    c1, c2, c3 = np.array([1.0, -3.0, 7.0]), np.array([20.0, 50.0, -80.0]), np.array([300.0, -900.0, 500.0])
+
+    def series(model, m, x_max, h, **select):
+        return E0 + c1 * h**2 + c2 * h**4 + c3 * h**6
+
+    monkeypatch.setattr(quantum, "_eigenvalues", series)
+    got = quantum._solve_levels(make_model("h0", 1.0, 20.0), 0, 2)
+    assert np.max(np.abs(np.array(got) - E0)) < 1e-14
 
 
 def test_count_bound_levels_matches_window():
