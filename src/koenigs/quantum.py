@@ -14,18 +14,23 @@ solves -(p y')' + V y = E w y with
 
     p = sqrt(a/b),    V = m^2/p + c/sqrt(a b),    w = 2/sqrt(a b).
 
-On a cell-centred grid that is a symmetric tridiagonal matrix whose
-eigenvalues LAPACK finds by bisection with Sturm counts.  The grid error is
-a series in h^2, so four grids, h = 0.056, 0.028, 0.014 and 0.007, all ending
-at the same x, extrapolate away its h^2, h^4 and h^6 terms; the eigenfunction
-residual applies the same operator, summed over stretches of 4096 grid points.
-Neither consults the closed forms.  The HypPlus count law is certified by
-Dirichlet-Neumann bracketing on a grid of its own (h = 0.004): the Sturm
-counts just below the well edge with a Dirichlet and with a Robin outer end
-bound the count from below and above, and the domain doubles from chi = 10
-until they agree, up to chi = 200.  The eigensolve is the only user of
-scipy here: scipy.linalg loads at the first solve, and the closed forms,
-eigenfunctions and residuals need numpy only.
+On a cell-centred grid that is a symmetric tridiagonal matrix.  The grid
+error is a series in h^2, so four grids, h = 0.056, 0.028, 0.014 and 0.007,
+all ending at the same x, extrapolate away its h^2, h^4 and h^6 terms:
+bisection on the 0.056 grid, certified Rayleigh-quotient refinement on the
+finer three.  LAPACK bisection with Sturm counts finds the 0.056 levels and
+sizes the domain; each finer grid refines the levels of the grid before by
+Rayleigh-quotient iteration, and keeps them only when residual windows and a
+Sturm count prove that they are the lowest eigenvalues, else it bisects.
+The eigenfunction residual applies the same operator, summed over
+stretches of 4096 grid points.  Neither consults the closed forms.  The
+HypPlus count law is certified by Dirichlet-Neumann bracketing on a grid of
+its own (h = 0.004): the Sturm counts just below the well edge with a
+Dirichlet and with a Robin outer end bound the count from below and above,
+and the domain doubles from chi = 10 until they agree, up to chi = 200.
+The eigensolve is the only user of scipy here: scipy.linalg loads at the
+first solve, and the closed forms, eigenfunctions and residuals need numpy
+only.
 """
 
 import math
@@ -103,6 +108,11 @@ _H_COUNT = 0.004
 # finite up to the longest end
 _X_START = 10.0
 _X_MAX = 200.0
+# Rayleigh-quotient refinement of a finer grid stops at a residual of
+# _RQI_TOL max(1, |E|), after at most _RQI_STEPS solves per level; from
+# the grid before, it takes about two
+_RQI_TOL = 1e-9
+_RQI_STEPS = 6
 # lowest eigenvalues solved so far per (model, |m|), oldest entry evicted first
 _LEVEL_CACHE_CAP = 64
 _LEVELS = {}
@@ -155,12 +165,84 @@ def _flux_matrix(model, m, x_max, h):
     return diag, off, p[-1] / (h**2 * w[-1])
 
 
-def _eigenvalues(model, m, x_max, h, **select):
-    """Selected eigenvalues of `_flux_matrix`, by LAPACK bisection with Sturm counts."""
+def _eigenvalues(model, m, x_max, h, guess=None, **select):
+    """Selected eigenvalues of `_flux_matrix`, bisected or refined from a guess.
+
+    Without a guess LAPACK bisects the `select` eigenvalues with Sturm
+    counts.  A guess of the lowest len(guess) eigenvalues, which must be
+    what `select` picks, is refined by `_refine`; when its certificate
+    fails, the eigenvalues are bisected as without a guess.
+    """
     diag, off, _ = _flux_matrix(model, m, x_max, h)
+    if guess is not None:
+        found = _refine(diag, off, guess)
+        if found is not None:
+            return found
     from scipy.linalg import eigh_tridiagonal
 
     return eigh_tridiagonal(diag, off, eigvals_only=True, **select)
+
+
+def _count_up_to(diag, off, x):
+    """Number of eigenvalues of the tridiagonal (diag, off) at or below x.
+
+    The matrix is positive definite for xi > 0, so the count over (-1, x]
+    holds them all.  The bisection tolerance is the interval width, so
+    LAPACK counts by Sturm sequences without refining any eigenvalue.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    return len(eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="v", select_range=(-1.0, x), tol=x + 1.0
+    ))
+
+
+def _refine(diag, off, guess):
+    """Lowest len(guess) eigenvalues by certified Rayleigh-quotient iteration, or None.
+
+    Each level starts from its guess and the constant vector.  A step
+    solves (T - sigma) x = v with LAPACK dgtsv and sets v = x / |x|,
+    sigma = v.Tv and eta = |Tv - sigma v|, until eta <= _RQI_TOL max(1,
+    |sigma|).  T has an eigenvalue in [sigma - eta, sigma + eta] (Parlett,
+    The Symmetric Eigenvalue Problem, 4.5).  When these windows increase
+    without overlap, and the Sturm count just past the top one reads
+    len(guess), window j holds the j-th eigenvalue.  None when a solve is
+    singular, a level is not converged after _RQI_STEPS solves, or the
+    certificate fails.
+    """
+    from scipy.linalg.lapack import dgtsv
+
+    start = np.full(len(diag), 1.0 / math.sqrt(len(diag)))
+    levels = []
+    top = -math.inf
+    for sigma in guess:
+        v = start
+        for _ in range(_RQI_STEPS):
+            _, _, _, x, info = dgtsv(off, diag - sigma, off, v)
+            scale = math.sqrt(float(x @ x))
+            if info or not 0.0 < scale < math.inf:
+                return None
+            v = x / scale
+            tv = diag * v
+            tv[:-1] += off * v[1:]
+            tv[1:] += off * v[:-1]
+            sigma = float(v @ tv)
+            tv -= sigma * v
+            eta = math.sqrt(float(tv @ tv))
+            if eta <= _RQI_TOL * max(1.0, abs(sigma)):
+                break
+        else:
+            return None
+        if sigma - eta <= top:
+            return None
+        levels.append(sigma)
+        top = sigma + eta
+    # a computed Sturm count is exact for a matrix a few ulps of |T| away;
+    # the slack keeps the top window's eigenvalue clear of that
+    slack = 1e-12 * (np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0))
+    if _count_up_to(diag, off, top + slack) != len(levels):
+        return None
+    return np.array(levels)
 
 
 def _decay_length(model, E):
@@ -183,13 +265,21 @@ def _edge(model):
 def _solve_levels(model, m, k):
     """Lowest k+1 radial eigenvalues, the domain sized from the top one.
 
-    The search solves on the coarsest grid, with the outer end snapped up to
-    a whole number of its cells, so all four grids end at the same x and
-    the last search solve is the coarsest term of the extrapolation.  Step
-    j of the Richardson loop combines neighbouring grids as
-    (4^j fine - coarse) / (4^j - 1), which removes the h^(2j) term.  A
-    HypPlus level above the edge on the current domain is judged by the
-    count bracket: NoBoundState when the Robin count is at most k,
+    Bisection on the 0.056 grid, certified Rayleigh-quotient refinement on
+    the finer three.  The search bisects on the coarsest grid, with the
+    outer end snapped up to a whole number of its cells, until that covers
+    the decay length of the grid's top level; so all four grids end at the
+    same x and the last search solve is the coarsest term of the
+    extrapolation.  The 0.028 grid refines the 0.056 levels, and the finer
+    two refine E_h + (E_h - E_2h)/4, the grid before with its h^2 term
+    moved to the next step.  Step j of the Richardson loop combines
+    neighbouring grids as (4^j fine - coarse) / (4^j - 1), which removes
+    the h^(2j) term.  The domain is settled when it also covers the decay
+    length of the extrapolated top level, which near the HypPlus edge can
+    be several times that of the 0.056 one; else the search grows the domain
+    up to chi = 200.032 and then raises ConvergenceFailure.  A HypPlus
+    level above the edge on the current domain is judged by the count
+    bracket: NoBoundState when the Robin count is at most k,
     ConvergenceFailure when only the Dirichlet count is.
     """
     h = _H_GRIDS[0]
@@ -199,10 +289,21 @@ def _solve_levels(model, m, k):
         x_max = cells * h
         need = math.inf  # also when fewer cells than k + 1 hold no k-th level
         if k < cells:
-            coarse = _eigenvalues(model, m, x_max, h, select="i", select_range=(0, k))
-            need = _decay_length(model, coarse[-1])
-        if need <= 1.05 * x_max:  # the slack stops round-off in E forcing more passes
-            break
+            table = [_eigenvalues(model, m, x_max, h, select="i", select_range=(0, k))]
+            need = _decay_length(model, table[0][-1])
+        # the slack stops round-off in E forcing more passes
+        if need <= 1.05 * x_max:
+            for step in _H_GRIDS[1:]:
+                guess = table[-1] if len(table) == 1 else table[-1] + (table[-1] - table[-2]) / 4.0
+                table.append(_eigenvalues(
+                    model, m, x_max, step, guess=guess, select="i", select_range=(0, k)
+                ))
+            for j in range(1, len(table)):
+                f = 4.0**j
+                table = [(f * fine - coarse) / (f - 1.0) for coarse, fine in zip(table, table[1:])]
+            need = _decay_length(model, table[0][-1])
+            if need <= 1.05 * x_max:
+                return tuple(float(E) for E in table[0])
         if need == math.inf and model.family == "hplus":
             low, high, x_count = _count_bracket(model, m)
             if high <= k:
@@ -219,13 +320,6 @@ def _solve_levels(model, m, k):
                 f"level k={k}, m={m} not settled on the longest domain {x_max:g}"
             )
         x_max = min(_X_MAX, 2.0 * x_max if need == math.inf else need)
-    table = [coarse] + [
-        _eigenvalues(model, m, x_max, h, select="i", select_range=(0, k)) for h in _H_GRIDS[1:]
-    ]
-    for j in range(1, len(table)):
-        f = 4.0**j
-        table = [(f * fine - coarse) / (f - 1.0) for coarse, fine in zip(table, table[1:])]
-    return tuple(float(E) for E in table[0])
 
 
 def shoot_eigenvalue(model, m, k):
@@ -233,11 +327,16 @@ def shoot_eigenvalue(model, m, k):
 
     Independent of the closed-form spectrum: the flux form of the radial
     equation on cell-centred grids of step 0.056, 0.028, 0.014 and 0.007,
-    LAPACK bisection with Sturm counts, and three Richardson steps that
-    remove the h^2, h^4 and h^6 terms of the grid error.  The outer end
-    grows, on the 0.056 grid, until it covers the decay length of the
-    solver's own k-th eigenvalue; it is a whole number of 0.056 cells, so
-    all four grids end at the same x.
+    and three Richardson steps that remove the h^2, h^4 and h^6 terms of
+    the grid error.  Bisection on the 0.056 grid, certified
+    Rayleigh-quotient refinement on the finer three: LAPACK bisects the
+    coarsest grid with Sturm counts, and each finer grid refines the
+    levels of the grid before, keeping them when residual windows and a
+    Sturm count certify them, else bisecting too.  The outer end grows, on
+    the 0.056 grid, until it covers the decay length of that grid's k-th
+    eigenvalue and then of the extrapolated one; it is a whole number of
+    0.056 cells, so all four grids end at the same x.  ConvergenceFailure
+    when the extrapolated level needs more than chi = 200.032.
 
     One solve returns levels 0..k, and a later call for a higher k solves
     afresh; so ask each (model, |m|) for its highest level first.  Levels in
@@ -260,31 +359,22 @@ def shoot_eigenvalue(model, m, k):
 
 
 def _count_bracket(model, m):
-    """Dirichlet and Robin counts of levels in (0, edge (1 - 1e-6)], and their domain.
+    """Dirichlet and Robin counts of levels up to edge (1 - 1e-6), and their domain.
 
     Both count on one matrix over [0, X] on the h = 0.004 grid; the Robin
     end, zero slope of u = e^(chi/2) y, puts p(X) h/2 in place of p(X) in
     the last diagonal entry.  Dirichlet-Neumann bracketing makes the two a
     lower and an upper bound on the count of the whole line.  X starts at
-    10 and doubles, up to 200, until the two agree.  The bisection
-    tolerance is the interval width, so LAPACK counts the levels without
-    refining any of them.
+    10 and doubles, up to 200, until the two agree.  Each count is one
+    Sturm count, `_count_up_to`.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     probe = _edge(model) * (1.0 - 1e-6)
-
-    def count(diag, off):
-        return len(eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="v", select_range=(0.0, probe), tol=probe
-        ))
-
     x_max = _X_START
     while True:
         diag, off, face = _flux_matrix(model, m, x_max, _H_COUNT)
-        low = count(diag, off)
+        low = _count_up_to(diag, off, probe)
         diag[-1] -= face * (1.0 - 0.5 * _H_COUNT)
-        high = count(diag, off)
+        high = _count_up_to(diag, off, probe)
         if low == high or x_max >= _X_MAX:
             return low, high, x_max
         x_max = min(_X_MAX, 2.0 * x_max)

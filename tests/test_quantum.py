@@ -166,6 +166,66 @@ def test_richardson_removes_three_even_powers(monkeypatch):
     assert np.max(np.abs(np.array(got) - E0)) < 1e-14
 
 
+def test_refined_grids_match_bisection(monkeypatch):
+    # every finer grid of the SPECTRUM_MODELS solves is refined and
+    # certified, and within the certified 1e-9 max(1, |E|) of bisection on
+    # the same matrix
+    from scipy.linalg import eigh_tridiagonal
+
+    from koenigs.verify import SPECTRUM_MODELS
+
+    worst, grids = [], []
+    real = quantum._refine
+
+    def comparing(diag, off, guess):
+        found = real(diag, off, guess)
+        grids.append(found is not None)
+        if found is not None:
+            ref = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                   select_range=(0, len(guess) - 1))
+            worst.append(np.max(np.abs(found - ref) / np.maximum(1.0, np.abs(ref))))
+        return found
+
+    monkeypatch.setattr(quantum, "_refine", comparing)
+    solves = 0
+    for fam, rho, xi, n_max, m_max in SPECTRUM_MODELS:
+        model = make_model(fam, rho, xi)
+        for m in range(m_max + 1):
+            top = max((lv.n for lv in spectrum(model, n_max, m) if lv.m == m), default=None)
+            if top is not None:
+                quantum._solve_levels(model, m, top)
+                solves += 1
+    assert len(grids) == 3 * solves and all(grids)
+    assert max(worst) <= quantum._RQI_TOL
+
+
+def _certificate_case():
+    model = make_model("h0", 1.0, 3.0)
+    x_max, h = 10.024, 0.028
+    diag, off, _ = quantum._flux_matrix(model, 0, x_max, h)
+    lowest = quantum._eigenvalues(model, 0, x_max, h, select="i", select_range=(0, 2))
+    return model, x_max, h, diag, off, lowest
+
+
+@pytest.mark.parametrize("which", ["overlap", "shifted"])
+def test_certificate_rejects_bad_guesses(which):
+    # two guesses either side of level 1 both converge to it: the count just
+    # past it reads 2, as asked, and only the overlap of the two windows
+    # gives them away.  Guesses on levels 1 and 2 give disjoint windows, and
+    # only the count, 3 where 2 are asked for, gives them away.  Either way
+    # the grid is bisected.  Guesses near levels 0 and 1 are accepted
+    model, x_max, h, diag, off, lowest = _certificate_case()
+    assert quantum._refine(diag, off, lowest[:2] + 1e-3) is not None
+    if which == "overlap":
+        guess = lowest[1] + np.array([-1e-3, 1e-3])
+    else:
+        guess = lowest[1:] + 1e-3
+    assert quantum._refine(diag, off, guess) is None
+    select = dict(select="i", select_range=(0, 1))
+    got = quantum._eigenvalues(model, 0, x_max, h, guess=guess, **select)
+    assert np.array_equal(got, quantum._eigenvalues(model, 0, x_max, h, **select))
+
+
 def test_count_bound_levels_matches_window():
     model = make_model("hplus", 0.5, 7.75)
     j_max = math.sqrt(8.0 / 0.5)  # = 4
@@ -270,6 +330,17 @@ def test_unsettled_count_is_no_verdict_on_the_level(xi):
     model = make_model("hplus", 0.5, xi)
     with pytest.raises(ConvergenceFailure, match="between 1 .Dirichlet. and 2 .Robin."):
         shoot_eigenvalue(model, 0, 1)
+
+
+def test_near_edge_level_needs_the_extrapolated_decay_length():
+    # E 60.6486 sits 2.7e-4 below the edge: the 0.056 grid's top level,
+    # about 0.016 lower, decays within chi = 179, the extrapolated one needs
+    # about 1353.  A domain sized from the 0.056 level gives E 6.48e-6 off
+    # with no error; sized from the extrapolated one it grows to chi = 200
+    # and raises
+    model = make_model("hplus", 0.3316925119726592, 39.98352230130143)
+    with pytest.raises(ConvergenceFailure, match="not settled on the longest domain 200.032"):
+        shoot_eigenvalue(model, 0, 5)
 
 
 def test_eigenfunction_nodes_and_angular_factor():
