@@ -24,10 +24,10 @@ Rayleigh-quotient iteration, and keeps them only when residual windows and a
 Sturm count prove that they are the lowest eigenvalues, else it bisects.
 The eigenfunction residual applies the same operator, summed over
 stretches of 4096 grid points.  Neither consults the closed forms.  The
-HypPlus count law is certified by Dirichlet-Neumann bracketing on a grid of
-its own (h = 0.004): the Sturm counts just below the well edge with a
-Dirichlet and with a Robin outer end bound the count from below and above,
-and the domain doubles from chi = 10 until they agree, up to chi = 200.
+HypPlus count law is checked by one Sturm count just below the well edge,
+on a grid of its own (h = 0.004) over chi up to 10, whose outer end is the
+solution that decays at that energy; that end lies between a Dirichlet and
+a Robin end, so the count lies between their counts.
 The eigensolve is the only user of scipy here: scipy.linalg loads at the
 first solve, and the closed forms, eigenfunctions and residuals need numpy
 only.
@@ -56,6 +56,17 @@ def _require_quantum(model):
         raise DomainError(f"family '{model.family}' has no discrete spectrum here")
     if model.xi <= 0.0:
         raise DomainError(f"need a confining coupling xi > 0, got xi={model.xi}")
+
+
+def _integer(name, value):
+    """value as an int; DomainError when it is not a whole number."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"need an integer {name}, got {value!r}") from None
+    if whole != value:
+        raise DomainError(f"need an integer {name}, got {value!r}")
+    return whole
 
 
 def _xi_eff(model):
@@ -102,10 +113,11 @@ _H_GRIDS = (0.056, 0.028, 0.014, 0.007)
 # the count's probe must not cross it, and the search's 0.056 grid moves
 # levels far more
 _H_COUNT = 0.004
-# outer end of the radial domain: first try, and the longest tried (r for
-# h0, chi for hplus), each snapped up to whole cells of the grid that runs
-# there, to 200.032 on the eigensolve's 0.056 grid; the hplus kernel stays
-# finite up to the longest end
+# outer end of the radial domain: the eigensolve's first try, and the longest
+# it tries (r for h0, chi for hplus), each snapped up to whole cells of the
+# grid that runs there, to 200.032 on the eigensolve's 0.056 grid; the hplus
+# kernel stays finite up to the longest end.  The count's one domain is the
+# first, its outer end the solution that decays beyond it
 _X_START = 10.0
 _X_MAX = 200.0
 # Rayleigh-quotient refinement of a finer grid stops at a residual of
@@ -278,9 +290,8 @@ def _solve_levels(model, m, k):
     length of the extrapolated top level, which near the HypPlus edge can
     be several times that of the 0.056 one; else the search grows the domain
     up to chi = 200.032 and then raises ConvergenceFailure.  A HypPlus
-    level above the edge on the current domain is judged by the count
-    bracket: NoBoundState when the Robin count is at most k,
-    ConvergenceFailure when only the Dirichlet count is.
+    level above the edge on the current domain is NoBoundState when
+    `count_bound_levels` is at most k; else the domain keeps growing.
     """
     h = _H_GRIDS[0]
     x_max = _X_START
@@ -304,17 +315,8 @@ def _solve_levels(model, m, k):
             need = _decay_length(model, table[0][-1])
             if need <= 1.05 * x_max:
                 return tuple(float(E) for E in table[0])
-        if need == math.inf and model.family == "hplus":
-            low, high, x_count = _count_bracket(model, m)
-            if high <= k:
-                raise NoBoundState(
-                    f"no level k={k} for m={m}: the HypPlus well holds fewer states"
-                )
-            if low <= k:
-                raise ConvergenceFailure(
-                    f"level k={k}, m={m} not settled: the HypPlus well holds between"
-                    f" {low} (Dirichlet) and {high} (Robin) levels on chi up to {x_count:g}"
-                )
+        if need == math.inf and model.family == "hplus" and count_bound_levels(model, m) <= k:
+            raise NoBoundState(f"no level k={k} for m={m}: the HypPlus well holds fewer states")
         if x_max >= _X_MAX:
             raise ConvergenceFailure(
                 f"level k={k}, m={m} not settled on the longest domain {x_max:g}"
@@ -343,8 +345,8 @@ def shoot_eigenvalue(model, m, k):
     ascending k cost one eigensolve each.
     """
     _require_quantum(model)
-    m = abs(int(m))
-    k = int(k)
+    m = abs(_integer("m", m))
+    k = _integer("k", k)
     if k < 0:
         raise DomainError(f"need k >= 0, got {k}")
     key = (model, m)
@@ -358,48 +360,33 @@ def shoot_eigenvalue(model, m, k):
     return levels[k]
 
 
-def _count_bracket(model, m):
-    """Dirichlet and Robin counts of levels up to edge (1 - 1e-6), and their domain.
-
-    Both count on one matrix over [0, X] on the h = 0.004 grid; the Robin
-    end, zero slope of u = e^(chi/2) y, puts p(X) h/2 in place of p(X) in
-    the last diagonal entry.  Dirichlet-Neumann bracketing makes the two a
-    lower and an upper bound on the count of the whole line.  X starts at
-    10 and doubles, up to 200, until the two agree.  Each count is one
-    Sturm count, `_count_up_to`.
-    """
-    probe = _edge(model) * (1.0 - 1e-6)
-    x_max = _X_START
-    while True:
-        diag, off, face = _flux_matrix(model, m, x_max, _H_COUNT)
-        low = _count_up_to(diag, off, probe)
-        diag[-1] -= face * (1.0 - 0.5 * _H_COUNT)
-        high = _count_up_to(diag, off, probe)
-        if low == high or x_max >= _X_MAX:
-            return low, high, x_max
-        x_max = min(_X_MAX, 2.0 * x_max)
-
-
 def count_bound_levels(model, m):
-    """Number of bound radial levels for angular number m, certified by bracketing.
+    """Number of bound radial levels for angular number m, by one Sturm count.
 
-    The Sturm counts below edge (1 - 1e-6) with a Dirichlet and a Robin
-    outer end bound the count from below and above; it is returned on the
-    first domain, chi up to 10, 20, 40, ... 200, where the two agree, and
-    ConvergenceFailure names both when they still differ at 200.
+    Counts the levels below the probe edge (1 - 1e-6) on [0, 10] at
+    h = 0.004.  The outer ghost is y_(N+1) = r y_N with r = exp(-h (1/2 +
+    sqrt(delta))), delta = xi_eff - 2 rho probe: the decaying solution at
+    the probe, so the count is that of the half line up to the kernel's
+    tail beyond chi = 10.  r is capped at 1 - h/2, which binds only for
+    xi below about 7e-4.  So 0 <= r <= 1 - h/2 puts the last diagonal
+    entry between its Dirichlet (r = 0) and Robin (r = 1 - h/2, zero slope
+    of e^(chi/2) y) values, and the count between their counts.
     Independent of the closed-form count.
+
+    Limit: a level within the probe's 1e-6 margin below the edge is not
+    counted, which can happen once J_max lies within a few 1e-3 of an
+    integer; the probe, not the domain, sets this.
     """
     _require_quantum(model)
     if model.family == "h0":
         raise DomainError("the Hyp0 well is infinitely deep; the count diverges")
-    m = abs(int(m))
-    low, high, x_max = _count_bracket(model, m)
-    if low != high:
-        raise ConvergenceFailure(
-            f"HypPlus count for m={m} not settled: Dirichlet {low}, Robin {high}"
-            f" on chi up to {x_max:g} at h={_H_COUNT:g}"
-        )
-    return low
+    m = abs(_integer("m", m))
+    probe = _edge(model) * (1.0 - 1e-6)
+    h = _H_COUNT
+    decay = math.sqrt(_xi_eff(model) - 2.0 * model.rho * probe)
+    diag, off, face = _flux_matrix(model, m, _X_START, h)
+    diag[-1] -= face * min(math.exp(-h * (0.5 + decay)), 1.0 - 0.5 * h)
+    return _count_up_to(diag, off, probe)
 
 
 # -- residuals ---------------------------------------------------------------
