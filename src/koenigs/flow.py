@@ -12,15 +12,17 @@ formula.  So `models.kernel` must stay analytic in q1: no abs, maximum,
 comparisons or branches on q1.  The step point is a Python complex, so the
 family's kernel runs on CPython's complex arithmetic and `cmath`, with no
 numpy scalar in the loop.  p2 is a constant of the motion, so the
-integrator carries (q1, q2, p1) and p2 rides along; the stage rows of the
-tableau (`_stage`) sum only the q1 and p1 slopes, the only ones a stage
-reads.
+integrator carries (q1, q2, p1) and p2 rides along; a stage sums only the
+q1 and p1 slopes, the only ones it reads.
 
 Integration is adaptive explicit Runge-Kutta, DOP853 (Hairer, Norsett &
 Wanner, Solving Ordinary Differential Equations I, 2nd ed., 1993: II.4
 for the step control, II.6 for the dense output).  The loop is written
 here over Python floats.  The tableau is scipy's own
-(`scipy.integrate._ivp.dop853_coefficients`), and the initial step, error
+(`scipy.integrate._ivp.dop853_coefficients`); at the first run it is
+written out as two straight-line functions (`_step_functions`), the trial step
+and the dense-output extension, with every coefficient inlined and every
+sum in the order of a loop over the tableau's rows.  The initial step, error
 norm, step-size controller, dense output and event search are those of
 scipy's DOP853, so a run takes the same steps as scipy's integrator; the
 tests keep that integrator as the oracle.  scipy enters at the first run,
@@ -40,11 +42,12 @@ state inside the chart.
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryReached, NotBounded, StepFailure
+from .errors import BoundaryReached, DomainError, NotBounded, StepFailure
 from .models import FAMILY, PhasePoint, chart_margin, check_chart, kernel
 from .invariants import conserved_set
 from .geodesics import classify
@@ -73,6 +76,56 @@ def _tableau():
             _sparse(dop.B), _sparse(dop.E3), _sparse(dop.E5),
             tuple(_sparse(dop.A[s, :s]) for s in range(n + 1, dop.N_STAGES_EXTENDED)),
             tuple(_sparse(row) for row in dop.D))
+
+
+@functools.cache
+def _step_functions():
+    """The DOP853 trial step and dense-output extension as straight-line code.
+
+    Generated once per process, at the first solve, from `_tableau`:
+
+      trial(f, q1, q2, p1, k0, h, tol) -> (y_new, K, n5, n3): stages 1..11,
+        the solution, the FSAL slope K[12] = f(y_new), and the sums of
+        squares over (q1, q2, p1) of the 5th- and 3rd-order error estimates
+        scaled by tol + max(|y|, |y_new|) tol;
+      extend(f, h, K, q1, p1) -> the four interpolation rows, times h, after
+        the three extra stages from (q1, p1), the start of the step.
+
+    Each coefficient is written by repr, which round-trips, and each sum
+    runs in index order from 0.0; so the arithmetic is that of a loop over
+    the sparse rows, to the bit.
+    """
+    A, B, E3, E5, A_extra, D = _tableau()
+    n = len(A) + 1  # K[n] is the FSAL slope
+
+    def dot(row, c):
+        return " + ".join(["0.0", *(f"{a!r} * {c}{i}" for i, a in row)])
+
+    def stage(s, row):
+        return (f"k{s} = x{s}, w{s}, z{s} = "
+                f"f(q1 + ({dot(row, 'x')}) * h, p1 + ({dot(row, 'z')}) * h)")
+
+    trial = ["def trial(f, q1, q2, p1, k0, h, tol):", "x0, w0, z0 = k0"]
+    trial += [stage(s, row) for s, row in enumerate(A, 1)]
+    for j, (v, c) in enumerate(zip(("q1", "q2", "p1"), "xwz")):
+        # the error scale tol + max(|v|, |y_j|) tol, max picked as max() picks it
+        trial += [f"y{j} = {v} + h * ({dot(B, c)})", f"s{j} = abs({v})", f"u = abs(y{j})",
+                  f"s{j} = tol + (u if u > s{j} else s{j}) * tol"]
+    trial.append(f"k{n} = f(y0, y2)")
+    for name, row in (("n5", E5), ("n3", E3)):
+        terms = (f"(({dot(row, c)}) / s{j}) ** 2" for j, c in enumerate("xwz"))
+        trial.append(f"{name} = " + " + ".join(["0.0", *terms]))
+    trial.append(f"return (y0, y1, y2), ({', '.join(f'k{i}' for i in range(n + 1))}), n5, n3")
+
+    extend = ["def extend(f, h, K, q1, p1):",
+              ", ".join(f"(x{i}, w{i}, z{i})" for i in range(n + 1)) + " = K"]
+    extend += [stage(s, row) for s, row in enumerate(A_extra, n + 1)]
+    rows = ("(" + ", ".join(f"h * ({dot(row, c)})" for c in "xwz") + ")" for row in D)
+    extend.append(f"return ({', '.join(rows)})")
+
+    code = {}
+    exec("\n".join("\n    ".join(lines) for lines in (trial, extend)), code)
+    return code["trial"], code["extend"]
 
 
 # scipy's controller constants; the error estimator has order 7
@@ -116,27 +169,6 @@ def _rhs(model, p2):
     return f
 
 
-def _stage(row, K):
-    """sum of a_i K_i over a sparse stage row, for q1 and p1 only."""
-    x = z = 0.0
-    for i, a in row:
-        k = K[i]
-        x += a * k[0]
-        z += a * k[2]
-    return x, z
-
-
-def _combine(row, K):
-    """sum of a_i K_i over a sparse tableau row, per component."""
-    x = y = z = 0.0
-    for i, a in row:
-        k = K[i]
-        x += a * k[0]
-        y += a * k[1]
-        z += a * k[2]
-    return x, y, z
-
-
 class _Dop853:
     """scipy's DOP853 over Python floats for the state (q1, q2, p1).
 
@@ -148,7 +180,7 @@ class _Dop853:
 
     def __init__(self, f, y, p2, t_end, tol):
         self.f, self.t_end, self.tol = f, t_end, tol
-        self.A, self.B, self.E3, self.E5, self.A_extra, self.D = _tableau()
+        self.trial, self.extend = _step_functions()
         self.t, self.y = 0.0, y
         self.k = f(y[0], y[2])
         self.nfev, self.accepted, self.rejected = 2, 0, 0
@@ -172,8 +204,7 @@ class _Dop853:
         return min(100.0 * h0, h1, t_end)
 
     def step(self):
-        f, t, y, k0, tol = self.f, self.t, self.y, self.k, self.tol
-        A, B, E3, E5 = self.A, self.B, self.E3, self.E5
+        f, t, y, k0, tol, trial = self.f, self.t, self.y, self.k, self.tol, self.trial
         q1, q2, p1 = y
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(self.h_abs, min_step)
@@ -185,19 +216,8 @@ class _Dop853:
             t_new = min(t + h_abs, self.t_end)
             h = t_new - t
             h_abs = abs(h)
-            K = [k0]
-            for row in A:
-                x, z = _stage(row, K)
-                K.append(f(q1 + x * h, p1 + z * h))
-            x, w, z = _combine(B, K)
-            y_new = (q1 + h * x, q2 + h * w, p1 + h * z)
-            K.append(f(y_new[0], y_new[2]))
+            y_new, K, n5, n3 = trial(f, q1, q2, p1, k0, h, tol)
             self.nfev += 12
-            n5 = n3 = 0.0
-            for e5, e3, v, w in zip(_combine(E5, K), _combine(E3, K), y, y_new):
-                scale = tol + max(abs(v), abs(w)) * tol
-                n5 += (e5 / scale) ** 2
-                n3 += (e3 / scale) ** 2
             error_norm = 0.0 if n5 == 0.0 and n3 == 0.0 else \
                 h_abs * n5 / math.sqrt((n5 + 0.01 * n3) * 4.0)
             if error_norm < 1.0:
@@ -218,16 +238,13 @@ class _Dop853:
 
     def dense(self):
         """Interpolant s -> (q1, q2, p1) over the last step; three RHS calls."""
-        f, h, K, y_old = self.f, self.h, self.K, self.y_old
-        for row in self.A_extra:
-            x, z = _stage(row, K)
-            K.append(f(y_old[0] + x * h, y_old[2] + z * h))
+        h, K, y_old = self.h, self.K, self.y_old
         self.nfev += 3
         dy = [v - u for v, u in zip(self.y, y_old)]
         F = [dy,
              [h * fo - d for fo, d in zip(K[0], dy)],
-             [2.0 * d - h * (fn + fo) for d, fn, fo in zip(dy, self.k, K[0])]]
-        F += [[h * c for c in _combine(row, K)] for row in self.D]
+             [2.0 * d - h * (fn + fo) for d, fn, fo in zip(dy, self.k, K[0])],
+             *self.extend(self.f, h, K, y_old[0], y_old[2])]
         columns = tuple(zip(*F, y_old))
         t_old, span = self.t_old, self.t - self.t_old
 
@@ -249,8 +266,11 @@ def _solve(model, initial, t_end, tol, samples, stop=None):
     sign change between accepted steps, then brentq on the interpolant.
     """
     check_chart(model, initial.q1)
-    if not (tol > 0 and t_end > 0):
-        raise StepFailure(f"integration span and tolerance must be positive, got {t_end}, {tol}")
+    if not (0.0 < tol < math.inf and 0.0 < t_end < math.inf):
+        raise StepFailure(f"integration span and tolerance must be positive and finite, "
+                          f"got {t_end}, {tol}")
+    if not (isinstance(samples, numbers.Integral) and samples >= 0):
+        raise DomainError(f"need a whole number of samples >= 0, got samples={samples!r}")
     lo, hi = FAMILY[model.family].chart(model.rho)
     gaps = [lambda y: y[0] - (lo + _EDGE)]
     if hi < math.inf:
@@ -346,8 +366,10 @@ def integrate(model, initial, t_end, tol=1e-10, samples=400):
     BoundaryReached (with the partial trajectory attached) if a chart edge
     is approached within 1e-9, or if the solver gives up within 1e-6 of
     one, and StepFailure if it gives up elsewhere; either message names t,
-    the step size and the chart margin.  `samples` fixes the output grid;
-    samples=0 returns the solver's own accepted steps.  The trajectory
+    the step size and the chart margin.  A t_end or tol that is not
+    positive and finite is a StepFailure before any step.  `samples`, a
+    whole number >= 0 (else DomainError), fixes the output grid; samples=0
+    returns the solver's own accepted steps.  The trajectory
     counts the right-hand side evaluations (`nfev`) and the `accepted`
     and `rejected` steps.
     """

@@ -78,13 +78,14 @@ def _xi_eff(model):
 def spectrum(model, n_max, m_max):
     """All Level entries with n <= n_max, |m| <= m_max, sorted by energy."""
     _require_quantum(model)
+    n_max, m_max = _integer("n_max", n_max), _integer("m_max", m_max)
     if n_max < 0 or m_max < 0:
         raise DomainError(f"need n_max, m_max >= 0, got ({n_max}, {m_max})")
     radial = FAMILY[model.family].radial
     rho, xe = model.rho, _xi_eff(model)
     levels = []
-    for n in range(int(n_max) + 1):
-        for m in range(-int(m_max), int(m_max) + 1):
+    for n in range(n_max + 1):
+        for m in range(-m_max, m_max + 1):
             jt = 2.0 * n + abs(m) + 1.0
             if radial.kappa * rho * jt**2 >= xe:
                 continue  # above the top of the HypPlus well
@@ -291,10 +292,12 @@ def _solve_levels(model, m, k):
     be several times that of the 0.056 one; else the search grows the domain
     up to chi = 200.032 and then raises ConvergenceFailure.  A HypPlus
     level above the edge on the current domain is NoBoundState when
-    `count_bound_levels` is at most k; else the domain keeps growing.
+    `count_bound_levels`, taken once per solve, is at most k; else the
+    domain keeps growing.
     """
     h = _H_GRIDS[0]
     x_max = _X_START
+    count = None  # count_bound_levels, taken at most once: its domain is fixed
     while True:
         cells = math.ceil(x_max / h)
         x_max = cells * h
@@ -315,8 +318,11 @@ def _solve_levels(model, m, k):
             need = _decay_length(model, table[0][-1])
             if need <= 1.05 * x_max:
                 return tuple(float(E) for E in table[0])
-        if need == math.inf and model.family == "hplus" and count_bound_levels(model, m) <= k:
-            raise NoBoundState(f"no level k={k} for m={m}: the HypPlus well holds fewer states")
+        if need == math.inf and model.family == "hplus":
+            if count is None:
+                count = count_bound_levels(model, m)
+            if count <= k:
+                raise NoBoundState(f"no level k={k} for m={m}: the HypPlus well holds fewer states")
         if x_max >= _X_MAX:
             raise ConvergenceFailure(
                 f"level k={k}, m={m} not settled on the longest domain {x_max:g}"

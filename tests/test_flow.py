@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from koenigs import flow
-from koenigs.errors import BoundaryReached, NotBounded
+from koenigs.errors import BoundaryReached, DomainError, NotBounded, StepFailure
 from koenigs.flow import _rhs, closure_test, drift_report, integrate
 from koenigs.geodesics import classify, curve_residual, start_point
 from koenigs.models import (
@@ -131,6 +131,29 @@ def test_trajectory_counts_solver_evaluations(h0_model):
     assert (traj.accepted, traj.rejected, traj.nfev) == (89, 29, 1418)
 
 
+@pytest.mark.parametrize("t_end, tol", [(math.inf, 1e-10), (math.nan, 1e-10), (-1.0, 1e-10),
+                                        (0.0, 1e-10), (30.0, math.inf), (30.0, math.nan),
+                                        (30.0, 0.0)])
+def test_span_and_tolerance_must_be_positive_and_finite(h0_model, t_end, tol):
+    # an infinite span used to step on forever, a row per step
+    start = start_point(classify(h0_model, 0.5, 0.5))
+    with pytest.raises(StepFailure, match="positive and finite"):
+        integrate(h0_model, start, t_end, tol=tol, samples=0)
+
+
+@pytest.mark.parametrize("samples", [-1, 2.5, 50.0, "50", None])
+def test_samples_must_be_a_whole_count(h0_model, samples):
+    start = start_point(classify(h0_model, 0.5, 0.5))
+    with pytest.raises(DomainError, match="samples"):
+        integrate(h0_model, start, 3.0, samples=samples)
+
+
+def test_samples_take_numpy_integers(h0_model):
+    start = start_point(classify(h0_model, 0.5, 0.5))
+    traj = integrate(h0_model, start, 3.0, samples=np.int64(7))
+    assert len(traj.t) == 7
+
+
 def _oracle(model, start, t_end, tol, samples):
     """scipy's own DOP853 on the same right-hand side and edge events."""
     f = _rhs(model, start.p2)
@@ -201,6 +224,91 @@ def test_edge_time_matches_solve_ivp(name):
         assert abs(chart_margin(model, sol.y[0, -1])) < 1e-6
         t_end = sol.t[-1]
     assert abs(excinfo.value.t - t_end) <= 1e-12
+
+
+def _stage(row, K):
+    """sum of a_i K_i over a sparse stage row, for q1 and p1 only."""
+    x = z = 0.0
+    for i, a in row:
+        k = K[i]
+        x += a * k[0]
+        z += a * k[2]
+    return x, z
+
+
+def _combine(row, K):
+    """sum of a_i K_i over a sparse tableau row, per component."""
+    x = y = z = 0.0
+    for i, a in row:
+        k = K[i]
+        x += a * k[0]
+        y += a * k[1]
+        z += a * k[2]
+    return x, y, z
+
+
+def _loop_step_functions():
+    """`flow._step_functions`'s two functions as loops over the sparse tableau rows."""
+    A, B, E3, E5, A_extra, D = flow._tableau()
+
+    def trial(f, q1, q2, p1, k0, h, tol):
+        K = [k0]
+        for row in A:
+            x, z = _stage(row, K)
+            K.append(f(q1 + x * h, p1 + z * h))
+        x, w, z = _combine(B, K)
+        y_new = (q1 + h * x, q2 + h * w, p1 + h * z)
+        K.append(f(y_new[0], y_new[2]))
+        n5 = n3 = 0.0
+        for e5, e3, v, w in zip(_combine(E5, K), _combine(E3, K), (q1, q2, p1), y_new):
+            scale = tol + max(abs(v), abs(w)) * tol
+            n5 += (e5 / scale) ** 2
+            n3 += (e3 / scale) ** 2
+        return y_new, K, n5, n3
+
+    def extend(f, h, K, q1, p1):
+        K = list(K)
+        for row in A_extra:
+            x, z = _stage(row, K)
+            K.append(f(q1 + x * h, p1 + z * h))
+        return [[h * c for c in _combine(row, K)] for row in D]
+    return trial, extend
+
+
+def _records(samples):
+    """Every REGIME_CASES run, the hminus edge runs and the closed-case
+    closure reports, as exact bytes and reprs."""
+    def run(model, start, span, tol):
+        try:
+            traj = integrate(model, start, span, tol=tol, samples=samples)
+            end = None
+        except BoundaryReached as reached:
+            traj, end = reached.trajectory, (reached.t, reached.point)
+        return (traj.t.tobytes(), traj.states.tobytes(), traj.nfev,
+                traj.accepted, traj.rejected, repr(end))
+    out = {}
+    for case in REGIME_CASES:
+        model, regime = _regime(case)
+        out[case] = run(model, start_point(regime), flow_span(case[5], case[3]), 1e-10)
+        if regime.closed:
+            out[case, "closure"] = repr(closure_test(model, case[3], case[4], tol=1e-5))
+    for name in ["hminus-fall", *(f"hminus-fall{k:+d}ulp" for k in range(-6, 7) if k)]:
+        model, start, span, tol = _edge_run(name)
+        out[name] = run(model, start, span, tol)
+    return out
+
+
+@pytest.mark.parametrize("samples", [0, 50])
+def test_generated_step_matches_the_tableau_loops_bitwise(monkeypatch, samples):
+    # the straight-line trial step and dense extension against loops over
+    # the sparse tableau rows: every time, state, count, edge event and
+    # closure report is the same to the bit
+    got = _records(samples)
+    monkeypatch.setattr(flow, "_step_functions", _loop_step_functions)
+    want = _records(samples)
+    assert all(want[key][-1] != "None" for key in want if str(key).startswith("hminus"))
+    for key in want:
+        assert got[key] == want[key], key
 
 
 def test_solver_failure_names_where_it_happened():

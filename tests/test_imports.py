@@ -15,15 +15,19 @@ import koenigs
 _SRC = str(Path(koenigs.__file__).resolve().parent.parent)
 
 
-def _scipy_modules_after(code):
-    """scipy modules in sys.modules after running `code` in a fresh interpreter."""
-    probe = ("import json, sys\n" + code + "\nprint(json.dumps(sorted("
-             "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))\n")
+def _fresh(code):
+    """The JSON that `code`, run in a fresh interpreter, prints last."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def _scipy_modules_after(code):
+    """scipy modules in sys.modules after running `code` in a fresh interpreter."""
+    return _fresh("import json, sys\n" + code + "\nprint(json.dumps(sorted("
+                  "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))\n")
 
 
 def test_import_loads_no_scipy():
@@ -54,3 +58,19 @@ def test_eigensolve_loads_linalg_only():
         "koenigs.shoot_eigenvalue(koenigs.make_model('h0', 0.8, 1.1), 0, 0)")
     assert "scipy.linalg" in loaded
     assert not any(m.startswith(("scipy.integrate", "scipy.optimize")) for m in loaded)
+
+
+def test_flow_step_code_is_built_once_per_process():
+    # the straight-line DOP853 step is generated at the first solve, not at
+    # import, and every later solve reuses it
+    code = """
+import json
+from koenigs import classify, flow, make_model, start_point
+built = [flow._step_functions.cache_info().misses]
+for family, rho, xi, E, L in (("h0", 0.8, 1.1, 0.5, 0.5), ("hplus", 2.0, 8.0, 1.8, 1.0)):
+    model = make_model(family, rho, xi)
+    flow.integrate(model, start_point(classify(model, E, L)), 1.0, samples=5)
+    built.append(flow._step_functions.cache_info().misses)
+print(json.dumps(built))
+"""
+    assert _fresh(code) == [0, 1, 1]

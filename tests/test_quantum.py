@@ -356,6 +356,35 @@ def test_non_integral_quantum_numbers_rejected():
     assert count_bound_levels(model, 1.0) == count_bound_levels(model, np.int64(-1)) == 1
 
 
+def test_non_integral_spectrum_bounds_rejected():
+    # 1.5 used to be truncated to 1 without a word
+    model = make_model("h0", 0.8, 1.1)
+    for n_max, m_max in ((1.5, 0), (1, 0.5), ("1", 0)):
+        with pytest.raises(DomainError, match="need an integer"):
+            spectrum(model, n_max, m_max)
+    assert spectrum(model, 1.0, np.int64(0)) == spectrum(model, 1, 0)
+    assert len(spectrum(model, 1, 0)) == 2
+
+
+def test_level_solve_counts_the_well_once(monkeypatch):
+    # the search grows the domain pass after pass with the k-th level above
+    # the edge; the count, on its fixed domain, is taken on the first
+    calls = []
+    count = quantum.count_bound_levels
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+    monkeypatch.setattr(quantum, "count_bound_levels", counted)
+    with pytest.raises(ConvergenceFailure, match="not settled on the longest domain 200.032"):
+        shoot_eigenvalue(make_model("hplus", 0.5, 4.26), 0, 1)
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(NoBoundState):
+        shoot_eigenvalue(make_model("hplus", 2.0, 3.75), 0, 1)
+    assert len(calls) == 1
+
+
 def test_count_bound_levels_h0_rejected():
     model = make_model("h0", 0.8, 1.1)
     with pytest.raises(DomainError):
