@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotClosedRegime, NoMotion, QuadratureFailure
-from .geodesics import classify
-from .models import FAMILY, kernel
+from .geodesics import classify, radial_momentum_sq
+from .models import FAMILY
 
 
 @dataclass(frozen=True)
@@ -98,16 +98,13 @@ def action_quadrature(model, E, L):
 
     # raw oracle straight in the chart coordinate, with the sqrt turning-point
     # behavior handed to the quadrature as an algebraic endpoint weight
-    def p1_sq(q1):
-        a, b, c = kernel(model, q1)
-        return (2.0 * E - b * L**2 - c) / a
-
     def smooth_part(q1):
         # continuous up to the turning points; step inside by a sliver so the
         # 0/0 limit is never formed literally
         eps = 1e-9 * (q_hi - q_lo)
         q1 = min(max(q1, q_lo + eps), q_hi - eps)
-        return math.sqrt(max(p1_sq(q1), 0.0) / ((q1 - q_lo) * (q_hi - q1))) * 2.0 / math.pi
+        p1_sq = radial_momentum_sq(model, E, L, q1)
+        return math.sqrt(max(p1_sq, 0.0) / ((q1 - q_lo) * (q_hi - q1))) * 2.0 / math.pi
 
     from scipy.integrate import quad
 

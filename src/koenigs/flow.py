@@ -48,12 +48,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryReached, DomainError, NotBounded, StepFailure
-from .models import FAMILY, PhasePoint, chart_margin, check_chart, kernel
+from .models import COMPLEX_STEP, FAMILY, PhasePoint, chart_margin, check_chart, kernel
 from .invariants import conserved_set
 from .geodesics import classify
 
 _EDGE = 1e-9
-_STEP = 1e-30
 # a solver failure this close to a chart edge is the run reaching it
 _NEAR_EDGE = 1e-6
 
@@ -163,9 +162,9 @@ def _rhs(model, p2):
     kern, rho, xi = FAMILY[model.family].kernel, model.rho, model.xi
 
     def f(q1, p1):
-        a, b, c = kern(rho, xi, complex(q1, _STEP), cmath)
+        a, b, c = kern(rho, xi, complex(q1, COMPLEX_STEP), cmath)
         return (a.real * p1, b.real * p2,
-                -0.5 * (a.imag * p1**2 + b.imag * p2**2 + c.imag) / _STEP)
+                -0.5 * (a.imag * p1**2 + b.imag * p2**2 + c.imag) / COMPLEX_STEP)
     return f
 
 

@@ -4,19 +4,21 @@ The quadratic integrals S1, S2 are family specific.  Two sign conventions
 for the bracket are in circulation; everything here uses the canonical
 {f,g} = df/dq dg/dp - df/dp dg/dq, and the relation checks evaluate the
 tabulated algebra with arguments swapped where its convention is the
-reversed one.  All brackets are finite-difference estimates, which keeps
-the integral formulas and the algebra checks independent of each other.
+reversed one.  All brackets are numeric derivatives, which keeps the
+integral formulas and the algebra checks independent of each other.
 
-Brackets come from one central-difference pass over a tuple-valued
-function, so the brackets among a set of functions at a point set share
-one stencil.  On a point array the pass makes three broadcast calls per
-stretch of 2048 points: the q1 pair, the q2 pair and the four p shifts,
-each stacked on a leading axis while the unshifted coordinates keep their
-own shape.  A factor of q1 or q2 alone is thus computed on 4n points, not
-8n.  No temporary of the stencil outgrows about 64 KB, while full-size
-ones (160 KB at 20000 points) fault in fresh heap pages on every call.  A
-scalar point takes its eight shifted points one call each.  Points may
-carry scalars or equal-shape arrays throughout.
+Every partial derivative is a complex step, Im f(z + i h e_k) / h with
+h = 1e-30 (Squire & Trapp, SIAM Rev. 40, 1998), the step the flow takes
+through `kernel`: no difference cancels, so it is exact to rounding, and
+the real point never moves.  One pass over a tuple-valued function makes
+four calls, one per coordinate, and gives the gradient of every entry, so
+the brackets among a set of functions at a point set share one pass.  A
+scalar point stays a Python scalar, so `kernel` takes its cmath path.  A
+point array runs in stretches of 4096 points, and `poisson_bracket` forms
+the bracket of each stretch before the next, so no temporary outgrows a
+stretch; full-size ones (320 KB of complex values at 20000 points) fault in
+fresh heap pages on every call.  Points may carry scalars or equal-shape
+arrays throughout.
 """
 
 import math
@@ -25,12 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartError
-from .models import PhasePoint, chart_margin, hamiltonian
+from .models import COMPLEX_STEP, PhasePoint, check_chart, hamiltonian
 
-# points per stencil stretch: a (4, 2048) block of p shifts is 64 KB, under
-# glibc's default 128 KB mmap threshold; 1024 points fault less but run
-# slower, with twice the calls
-_STRETCH = 2048
+# points per stretch: a complex temporary of a stretch is 64 KB, under
+# glibc's default 128 KB mmap threshold; 2048 points fault less but run
+# the algebra benchmark about 9% slower, with twice the calls
+_STRETCH = 4096
 
 
 @dataclass(frozen=True)
@@ -113,98 +115,64 @@ def conserved_functions(model):
     }
 
 
-def _gradients(func, point, h=1e-5, model=None):
-    """Central-difference gradients of every entry of a tuple-valued func.
+def _stretchwise(work, point, model):
+    """work(z) on the coordinates z of a point set, a stretch at a time.
 
-    One stencil pass at the eight points point +- s_i e_i, s_i = h * max(1,
-    |z_i|): three broadcast calls per stretch of `_STRETCH` points on an
-    array, eight scalar calls at a scalar point (see the module docstring).
-    Each entry's gradient is returned as (d/dq1, d/dq2, d/dp1, d/dp2), one
-    tuple per entry of func's value.  An entry that does not change with
-    the shifted coordinate is differenced as (x - x) / 2s, so a NaN stays
-    NaN.  When a model is supplied the q1 stencil of the whole point set is
-    checked against the chart and ChartError is raised if it would leave
-    it.  Works elementwise when the point carries arrays.
+    work returns a sequence of values for the fields it is given, and each
+    value is gathered into one array of the point set's shape.  Array fields
+    run flat in stretches of `_STRETCH` points and scalar fields stay
+    scalars; a scalar point is one stretch of its own and returns what work
+    returns.  When a model is supplied every q1 of the set is checked
+    against the chart by `check_chart` first.
     """
     z = (point.q1, point.q2, point.p1, point.p2)
-    steps = [h * np.maximum(1.0, np.abs(v)) for v in z]
-    scalar = all(np.isscalar(v) for v in z)
+    scalar = all(np.ndim(v) == 0 for v in z)
     if model is not None:
-        lo, hi = z[0] - steps[0], z[0] + steps[0]
-        if not scalar:  # on a scalar point the reductions cost 12% of a call
-            lo, hi = np.min(lo), np.max(hi)
-        if chart_margin(model, lo) <= 0 or chart_margin(model, hi) <= 0:
-            raise ChartError(
-                f"bracket stencil around q1={point.q1} leaves the chart"
-            )
+        for q1 in (z[0],) if scalar else (np.min(z[0]), np.max(z[0])):
+            check_chart(model, q1)
     if scalar:
-        return _stretch_gradients(func, z, steps, width=0)
+        return work(z)
     shape = np.broadcast_shapes(*(np.shape(v) for v in z))
-
-    # array fields run flat, a stretch at a time; scalar fields stay scalars
-    def flat(v):
-        return v if np.ndim(v) == 0 else np.broadcast_to(v, shape).ravel()
-
-    def part(v, cut):
-        return v if np.ndim(v) == 0 else v[cut]
-
-    z, steps = [flat(v) for v in z], [flat(s) for s in steps]
+    z = [v if np.ndim(v) == 0 else np.broadcast_to(v, shape).ravel() for v in z]
     n = math.prod(shape)
-    grads = None
+    outs = None
     for start in range(0, n, _STRETCH):
         cut = slice(start, start + _STRETCH)
-        piece = _stretch_gradients(func, [part(v, cut) for v in z],
-                                   [part(s, cut) for s in steps], width=1)
-        if grads is None:
-            grads = [[np.empty(n, np.result_type(d)) for d in entry] for entry in piece]
-        for entry, values in zip(grads, piece):
-            for out, d in zip(entry, values):
-                out[cut] = d
-    return tuple(tuple(out.reshape(shape) for out in entry) for entry in grads)
+        piece = work([v if np.ndim(v) == 0 else v[cut] for v in z])
+        if outs is None:
+            outs = [np.empty(n, np.result_type(d)) for d in piece]
+        for out, d in zip(outs, piece):
+            out[cut] = d
+    return tuple(out.reshape(shape) for out in outs)
 
 
-def _stretch_gradients(func, z, steps, width):
-    """`_gradients` on one stretch, whose fields are scalars or equal rows.
+def _stretch_gradients(func, z, h):
+    """Gradients of the entries of func at the fields z: four calls of func.
 
-    width is 1 when some field is a row and 0 at a scalar point.
+    The call for coordinate k shifts it by i h and reads d/dz_k as
+    Im(value) / h.  Adding 0 Re(value) keeps an entry that is NaN at a point
+    NaN in all four derivatives there.  Returned flat: the four derivatives
+    of the first entry, then those of the next.
     """
-    q1, q2, p1, p2 = z
-    s1, s2, s3, s4 = steps
-    along_q1 = _shifted_values(func, width, [(q1 + s1, q2, p1, p2), (q1 - s1, q2, p1, p2)])
-    along_q2 = _shifted_values(func, width, [(q1, q2 + s2, p1, p2), (q1, q2 - s2, p1, p2)])
-    along_p = _shifted_values(func, width, [(q1, q2, p1 + s3, p2), (q1, q2, p1 - s3, p2),
-                                            (q1, q2, p1, p2 + s4), (q1, q2, p1, p2 - s4)])
-    return tuple(
-        ((a[0] - a[1]) / (2.0 * s1), (b[0] - b[1]) / (2.0 * s2),
-         (c[0] - c[1]) / (2.0 * s3), (c[2] - c[3]) / (2.0 * s4))
-        for a, b, c in zip(along_q1, along_q2, along_p)
-    )
+    calls = [func(PhasePoint(*(v + 1j * h if i == k else v for i, v in enumerate(z))))
+             for k in range(4)]
+    grads = []
+    for values in zip(*calls):
+        nan = 0.0 * values[0].real
+        grads.extend(v.imag / h + nan for v in values)
+    return grads
 
 
-def _shifted_values(func, width, points):
-    """Each entry of func at the given points, as one sequence of values.
+def _gradients(func, point, model=None):
+    """Complex-step gradients of every entry of a tuple-valued func.
 
-    Over a stretch the points go in one call: a coordinate that differs
-    between them is stacked on a leading axis, and one that is the same
-    object in every point keeps its own shape.  An entry that comes back
-    without the leading axis does not depend on the stacked coordinates,
-    and its value is repeated.  At a scalar point (width 0) each point is
-    its own call: arithmetic on numpy scalars runs about ten times faster
-    than on small arrays.
+    Each entry's gradient is returned as (d/dq1, d/dq2, d/dp1, d/dp2), one
+    tuple per entry of func's value, elementwise when the point carries
+    arrays.  func is held to `poisson_bracket`'s contract.  When a model is
+    supplied, ChartError is raised if some q1 lies outside the chart.
     """
-    if width == 0:
-        return tuple(zip(*(func(PhasePoint(*w)) for w in points)))
-    k = len(points)
-
-    def stack(rows):
-        if all(r is rows[0] for r in rows):
-            return rows[0]
-        # rows of a scalar coordinate get a unit axis that broadcasts over the stretch
-        out = np.array(rows)
-        return out.reshape(k, 1) if out.ndim <= width else out
-
-    values = func(PhasePoint(*(stack(rows) for rows in zip(*points))))
-    return [x if np.ndim(x) > width else (x,) * k for x in values]
+    flat = _stretchwise(lambda z: _stretch_gradients(func, z, COMPLEX_STEP), point, model)
+    return tuple(tuple(flat[i:i + 4]) for i in range(0, len(flat), 4))
 
 
 def _bracket(df, dg):
@@ -214,16 +182,24 @@ def _bracket(df, dg):
     return fq1 * gp1 + fq2 * gp2 - fp1 * gq1 - fp2 * gq2
 
 
-def poisson_bracket(f, g, point, h=1e-5, model=None):
-    """Canonical bracket {f, g} by central differences with step h.
+def poisson_bracket(f, g, point, h=COMPLEX_STEP, model=None):
+    """Canonical bracket {f, g} by complex-step derivatives with step h.
 
-    One `_gradients` pass over (f, g), three broadcast calls per stretch
-    of 2048 points, with the step in each coordinate h scaled by
-    max(1, |coordinate|).  When a model is supplied the q1 stencil is
-    checked against the chart and ChartError is raised if it would leave
-    it.  Works elementwise when the point carries arrays.
+    The default step is exact to rounding; a larger h adds each
+    derivative's truncation error, -h^2 f''' / 6.  f and g must be
+    analytic in all four coordinates and built from numpy or cmath
+    operations, as `kernel` is for the flow: no abs, max or comparisons,
+    which drop or misread the imaginary part.  A function built on the math
+    module raises TypeError.  Where f or g is NaN, the bracket is NaN.  The
+    bracket is formed one stretch of 4096 points at a time.  When a model
+    is supplied, ChartError is raised if some q1 of the point set lies
+    outside the chart.  Works elementwise when the point carries arrays.
     """
-    return _bracket(*_gradients(lambda z: (f(z), g(z)), point, h=h, model=model))
+    def stretch(z):
+        d = _stretch_gradients(lambda w: (f(w), g(w)), z, h)
+        return (_bracket(d[:4], d[4:]),)
+
+    return _stretchwise(stretch, point, model)[0]
 
 
 def _rel(residual, *terms):
@@ -233,19 +209,19 @@ def _rel(residual, *terms):
     return np.abs(residual) / scale
 
 
-def algebra_residuals(model, point, h=1e-5):
+def algebra_residuals(model, point):
     """Residuals |LHS - RHS| of the family's algebra relations.
 
     Every bracket comes from one `_gradients` pass over (H, L, S1, S2),
-    so the conserved set is evaluated once per stencil call.  Bracket
-    relations use the finite-difference bracket with arguments swapped
+    so the conserved set is evaluated once per call of the pass.  Bracket
+    relations use the complex-step bracket with arguments swapped
     relative to the canonical ordering (the convention the relations
     tabulated here assume); algebraic identities are evaluated exactly.
     All residuals are relative to max(1, |terms|), elementwise when the
     point carries arrays.
     """
     fam = model.family
-    dH, dL, dS1, dS2 = _gradients(lambda z: _conserved_values(model, z), point, h=h, model=model)
+    dH, dL, dS1, dS2 = _gradients(lambda z: _conserved_values(model, z), point, model=model)
 
     def pb_rev(df, dg):
         # the tabulated algebra uses the reversed argument order
@@ -280,7 +256,7 @@ def algebra_residuals(model, point, h=1e-5):
         out["w_L_S2"] = _rel(pb_rev(dL, dS2) + s1, s1, s2)
         # cubic bracket and quartic Casimir; the relative sign of
         # (2 rho H - xi) is the one that actually closes (checked against
-        # FD brackets and exact expansion)
+        # numeric brackets and exact expansion)
         rhs = L * (2.0 * L**2 - 2.0 * rho * E + xi)
         out["w_S1_S2"] = _rel(pb_rev(dS1, dS2) - rhs, rhs, s1 * s2)
         cas = s1**2 + s2**2 - (E**2 - L**4 - L**2 * (xi - 2.0 * rho * E))

@@ -36,6 +36,9 @@ import numpy as np
 from .errors import ChartError, ConstantCurvature, DomainError, NoGlobalStructure
 
 _EDGE_TOL = 1e-12
+# imaginary step of every complex-step derivative: the flow's slopes and the
+# bracket oracles' gradients
+COMPLEX_STEP = 1e-30
 
 
 @dataclass(frozen=True)

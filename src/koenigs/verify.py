@@ -30,13 +30,7 @@ from . import specfun as specfun_mod
 from .errors import BoundaryReached, NoMotion
 from .flow import drift_report, integrate
 from .geodesics import classify, curve_residual, radial_momentum_sq, start_point
-from .invariants import (
-    _bracket,
-    _conserved_values,
-    _gradients,
-    algebra_residuals,
-    conserved_set,
-)
+from .invariants import _bracket, _gradients, algebra_residuals, conserved_set
 from .models import (
     FAMILY,
     PhasePoint,
@@ -250,22 +244,17 @@ def _check_hminus_blowup(rng):
 # -- invariants ---------------------------------------------------------------
 
 def _check_conservation_brackets(rng):
-    # residuals are relative to max(1, |terms|), the module's reporting rule
+    # {H, X} for X = L, S1, S2, relative to max(1, |E|, |X|)
     worst = 0.0
     for model in _VERIFY_MODELS.values():
-        pts = _random_points(model, rng, 1000)
-        values = _conserved_values(model, pts)
-        grads = _gradients(lambda z: _conserved_values(model, z), pts, model=model)
-        for k in (1, 2, 3):  # L, S1, S2 against E
-            vals = _bracket(grads[0], grads[k])
-            scale = np.maximum(1.0, np.maximum(np.abs(values[0]), np.abs(values[k])))
-            worst = max(worst, float(np.max(np.abs(vals) / scale)))
+        res = algebra_residuals(model, _random_points(model, rng, 1000))
+        worst = max(worst, *(float(np.max(res[key])) for key in ("dH_L", "dH_S1", "dH_S2")))
     return worst
 
 
 def _check_algebra_identities(rng):
-    # the exact identities are the gated value; the finite-difference
-    # bracket relations hold a fixed 1e-7 bound
+    # the exact identities are the gated value; the complex-step bracket
+    # relations hold a fixed 2e-12 bound
     worst_exact = 0.0
     worst_bracket = 0.0
     for model in _VERIFY_MODELS.values():
@@ -275,8 +264,8 @@ def _check_algebra_identities(rng):
                 worst_exact = max(worst_exact, float(np.max(val)))
             elif key in ("w_L_S1", "w_L_S2", "w_S1_S2"):
                 worst_bracket = max(worst_bracket, float(np.max(val)))
-    if not worst_bracket < 1e-7:
-        raise AssertionError(f"bracket relations {worst_bracket:.3e} (bound 1e-7)")
+    if not worst_bracket < 2e-12:
+        raise AssertionError(f"bracket relations {worst_bracket:.3e} (bound 2e-12)")
     return worst_exact
 
 
@@ -775,11 +764,11 @@ CHECKS = (
     ("models.hamiltonian_from_metric", _check_hamiltonian_from_metric, 1e-12),
     ("models.curvature_closed_vs_brioschi", _check_curvature_vs_brioschi, 1e-6),
     ("models.embed_hyperboloid", _check_embed_hyperboloid, 1e-12),
-    ("models.generator_algebra", _check_generator_algebra, 1e-8),
+    ("models.generator_algebra", _check_generator_algebra, 1e-12),
     ("models.hminus_curvature_blowup", _check_hminus_blowup, None),
-    ("invariants.conservation_brackets", _check_conservation_brackets, 1e-7),
+    ("invariants.conservation_brackets", _check_conservation_brackets, 5e-12),
     ("invariants.algebra_identities", _check_algebra_identities, 1e-11),
-    ("invariants.trig_eigen_structure", _check_trig_eigen, 1e-7),
+    ("invariants.trig_eigen_structure", _check_trig_eigen, 5e-14),
     ("geodesics.turnings_vs_bisection", _check_turnings_vs_bisection, 1e-10),
     ("geodesics.flow_curve_residual", _check_flow_curve_residual, 1e-6),
     ("geodesics.eccentricity_windows", _check_eccentricity_windows, None),
