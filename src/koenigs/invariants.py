@@ -1,6 +1,11 @@
 """Quadratic integrals and numerical Poisson-algebra checks.
 
-The quadratic integrals S1, S2 are family specific.  Two sign conventions
+The quadratic integrals S1, S2 are family specific: each `FAMILY` row holds
+one formula for them (`Family.integrals`), which takes every sine, cosine
+and exponential it needs once and forms its own H from those values.  The
+energy E is `hamiltonian`, through `kernel`, so a bracket {E, S} compares
+two independent pieces of code.  The S1 and S2 callables of
+`conserved_functions` each form only their own integral.  Two sign conventions
 for the bracket are in circulation; everything here uses the canonical
 {f,g} = df/dq dg/dp - df/dp dg/dq, and the relation checks evaluate the
 tabulated algebra with arguments swapped where its convention is the
@@ -26,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartError
-from .models import COMPLEX_STEP, PhasePoint, check_chart, hamiltonian
+from .models import COMPLEX_STEP, FAMILY, PhasePoint, check_chart, hamiltonian
 
 # points per stretch: a complex temporary of a stretch is 64 KB, under
 # glibc's default 128 KB mmap threshold; 2048 points fault less but run
@@ -52,46 +56,13 @@ def second_integrals(model, point):
     For the trigonometric family these are the exponential pair
     (S+, S-); for the others a trigonometric-in-q2 pair.
     """
-    return _quadratic_pair(model, point, hamiltonian(model, point))
+    return _integrals(model, point, None)
 
 
-def _quadratic_pair(model, point, H):
-    """`second_integrals` with H = hamiltonian(model, point) already known."""
-    fam = model.family
-    rho = model.rho
-    q1, q2, p1, p2 = point.q1, point.q2, point.p1, point.p2
-    if fam == "trig":
-        s, c = np.sin(q1), np.cos(q1)
-        core_plus = s * p1 * p2 + c * p2**2 - rho * H
-        core_minus = -s * p1 * p2 + c * p2**2 - rho * H
-        return np.exp(q2) * core_plus, np.exp(-q2) * core_minus
-    if fam == "h0":
-        cross = p1 * p2 / q1
-        rest = H - p2**2 / q1**2
-        c2, s2 = np.cos(2 * q2), np.sin(2 * q2)
-        return c2 * cross + s2 * rest, -s2 * cross + c2 * rest
-    if fam == "hplus":
-        # P_phi^2 coefficient is (1 + cosh^2)/(2 sinh^2); the doubled
-        # variant fails to commute with H, see the H-dependent form
-        t = np.tanh(q1)
-        D = (1.0 + np.cosh(q1) ** 2) / (2.0 * np.sinh(q1) ** 2)
-        cross = p1 * p2 / t
-        rest = H - D * p2**2
-        c2, s2 = np.cos(2 * q2), np.sin(2 * q2)
-        return c2 * cross + s2 * rest, -s2 * cross + c2 * rest
-    if fam == "hminus":
-        cx, sx = np.cosh(q1), np.sinh(q1)
-        cross = cx * p1 * p2
-        rest = sx * p2**2 - H
-        cy, sy = np.cos(q2), np.sin(q2)
-        return cy * cross + sy * rest, -sy * cross + cy * rest
-    if fam == "affine":
-        u, y = q1, q2
-        drop = 2.0 * rho * H - p2**2
-        s1 = u * p1 * p2 - y * drop
-        s2 = 0.5 * (-(u**2) * p2**2 + 2.0 * y * u * p1 * p2 - y**2 * drop)
-        return s1, s2
-    raise ChartError(f"unknown family {fam!r}")
+def _integrals(model, point, which):
+    """The family's quadratic-integral formula: (S1, S2), or S1 (which = 0) or S2 (1)."""
+    return FAMILY[model.family].integrals(model.rho, model.xi, point.q1, point.q2,
+                                          point.p1, point.p2, which)
 
 
 def conserved_set(model, point):
@@ -100,9 +71,7 @@ def conserved_set(model, point):
 
 def _conserved_values(model, point):
     """The tuple (E, L, S1, S2) at a phase point, in the order of ConservedSet."""
-    H = hamiltonian(model, point)
-    s1, s2 = _quadratic_pair(model, point, H)
-    return H, point.p2, s1, s2
+    return (hamiltonian(model, point), point.p2) + _integrals(model, point, None)
 
 
 def conserved_functions(model):
@@ -110,8 +79,8 @@ def conserved_functions(model):
     return {
         "E": lambda z: hamiltonian(model, z),
         "L": lambda z: z.p2,
-        "S1": lambda z: second_integrals(model, z)[0],
-        "S2": lambda z: second_integrals(model, z)[1],
+        "S1": lambda z: _integrals(model, z, 0),
+        "S2": lambda z: _integrals(model, z, 1),
     }
 
 

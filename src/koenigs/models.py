@@ -15,8 +15,10 @@ closed orbits carry a `Radial` row: their radial motion is one quadratic in
 u, read through that row by the classifier, the curve residual and the
 action quadrature, and the row's E(J), J(E) and quantum xi shift are the
 closed forms of the actions and the spectrum.  Each row also holds the
-family's kernel formula, so `kernel` is one lookup; curvature, embedding
-and generators stay as one chain each.
+family's kernel formula, so `kernel` is one lookup, and its quadratic
+integrals S1, S2, which form their own H without `kernel`.  Three
+`if fam ==` chains remain, one function each: `scalar_curvature`, `embed`
+and `generators`.
 
 Every Hamiltonian has the shape H = (a(q1) p1^2 + b(q1) p2^2 + c(q1)) / 2,
 so the metric is diag(1/a, 1/b) and the potential is c/2.  All coordinate
@@ -80,6 +82,7 @@ class Family:
     constant_curvature: tuple   # rho values where the metric degenerates
     chart: object               # rho -> open q1 interval (lo, hi)
     kernel: object              # (rho, xi, q1, xp) -> (a, b, c); see `kernel`
+    integrals: object           # (rho, xi, q1, q2, p1, p2, which) -> S1, S2; see below
     angle: bool = False         # q2 is an angle on [0, 2*pi)
     radial: Radial = None       # set where orbits close: actions and spectra
 
@@ -122,17 +125,115 @@ def _affine_kernel(rho, xi, q1, xp):
     return a, a, xi / W
 
 
+# -- Quadratic integrals, one formula per family --------------------------
+#
+# Each formula takes every sine, cosine or exponential of q1 and of q2 once,
+# in the namespace of its argument (`_ns`), and forms the H it needs from
+# those same values; it calls neither `kernel` nor `hamiltonian`.  It
+# returns the pair (S1, S2), or S1 alone for which = 0 and S2 alone for
+# which = 1, and then forms only that one.  On a complex array a division
+# costs about four multiplications, so each formula divides once or twice
+# and multiplies by the reciprocal.  A product of two complex factors puts
+# a temporary on the left: numpy reuses a large right-hand temporary in
+# place with the factors swapped, and complex multiplication rounds
+# differently then, so a whole array and its 4096-point stretches would
+# differ in the last bit.
+
+_SCALAR_NS = {complex: cmath, float: math}
+
+
+def _ns(x):
+    """cmath for a Python complex, math for a Python float, numpy otherwise.
+
+    A scalar point's values stay Python numbers: a numpy float64 times a
+    Python complex takes about 20 times as long as a Python float times one.
+    Like cmath for the complex step, math raises where numpy would return
+    inf or NaN with a warning.
+    """
+    return _SCALAR_NS.get(type(x), np)
+
+
+def _chosen(s1, s2, which):
+    return (s1, s2) if which is None else (s1, s2)[which]
+
+
+def _turned(c, s, cross, rest, which):
+    """The pair (c cross + s rest, c rest - s cross), or its entry `which`."""
+    s1 = None if which == 1 else c * cross + s * rest
+    s2 = None if which == 0 else c * rest - s * cross
+    return _chosen(s1, s2, which)
+
+
+def _trig_integrals(rho, xi, q1, q2, p1, p2, which):
+    # the exponential pair (S+, S-); e^{-q2} is the reciprocal of e^{q2}
+    x = _ns(q1)
+    sx, cx = x.sin(q1), x.cos(q1)
+    pp2 = p2**2
+    rho_H = (sx**2 * (p1**2 + pp2) + xi) * (0.5 * rho / (1.0 - rho * cx))
+    twist, rest = sx * p1 * p2, cx * pp2
+    e = _ns(q2).exp(q2)
+    s1 = None if which == 1 else e * (twist + rest - rho_H)
+    s2 = None if which == 0 else (rest - twist - rho_H) * (1.0 / e)
+    return _chosen(s1, s2, which)
+
+
+def _h0_integrals(rho, xi, q1, q2, p1, p2, which):
+    r2 = q1**2
+    inv_r = 1.0 / q1
+    p2_r2 = (p2 * inv_r) ** 2
+    H = (p1**2 + p2_r2 + xi * r2) * (0.5 / (1.0 + rho * r2))
+    y, angle = _ns(q2), 2 * q2
+    return _turned(y.cos(angle), y.sin(angle), p1 * p2 * inv_r, H - p2_r2, which)
+
+
+def _hplus_integrals(rho, xi, q1, q2, p1, p2, which):
+    # the P_phi^2 coefficient of `rest` is D = (1 + cosh^2)/(2 sinh^2);
+    # the doubled variant fails to commute with H
+    x = _ns(q1)
+    sh, ch = x.sinh(q1), x.cosh(q1)
+    inv_sh = 1.0 / sh
+    sh2, ch2 = sh**2, ch**2
+    p2_sh2 = (p2 * inv_sh) ** 2
+    H = ((p1**2 + p2_sh2) * ch2 + xi * sh2) * (0.5 / (1.0 + rho * sh2))
+    cross = p1 * p2 * (ch * inv_sh)  # p1 p2 / tanh
+    rest = H - 0.5 * (1.0 + ch2) * p2_sh2
+    y, angle = _ns(q2), 2 * q2
+    return _turned(y.cos(angle), y.sin(angle), cross, rest, which)
+
+
+def _hminus_integrals(rho, xi, q1, q2, p1, p2, which):
+    x = _ns(q1)
+    cx, sx = x.cosh(q1), x.sinh(q1)
+    pp2 = p2**2
+    H = (cx**2 * (p1**2 + pp2) + xi) * (0.5 / (sx + rho))
+    y = _ns(q2)
+    return _turned(y.cos(q2), y.sin(q2), cx * p1 * p2, sx * pp2 - H, which)
+
+
+def _affine_integrals(rho, xi, q1, q2, p1, p2, which):
+    u, y = q1, q2
+    u2, pp2 = u**2, p2**2
+    # drop = 2 rho H - p2^2
+    drop = (u2 * (p1**2 + pp2) + xi) * (rho / (1.0 + rho * u2)) - pp2
+    twist = u * p1 * p2
+    s1 = None if which == 1 else twist - y * drop
+    s2 = None if which == 0 else y * twist - 0.5 * (u2 * pp2 + y**2 * drop)
+    return _chosen(s1, s2, which)
+
+
 FAMILY = {
-    "trig": Family((0.0, 1.0), (0.0, 1.0, -1.0), lambda rho: (0.0, math.pi), _trig_kernel),
-    "h0": Family((0.0, math.inf), (0.0,), _half_line, _h0_kernel, angle=True,
+    "trig": Family((0.0, 1.0), (0.0, 1.0, -1.0), lambda rho: (0.0, math.pi), _trig_kernel,
+                   _trig_integrals),
+    "h0": Family((0.0, math.inf), (0.0,), _half_line, _h0_kernel, _h0_integrals, angle=True,
                  radial=Radial(0.0, lambda r: r * r, math.sqrt, math.inf, 0.0)),
-    "hplus": Family((0.0, math.inf), (1.0,), _half_line, _hplus_kernel, angle=True,
+    "hplus": Family((0.0, math.inf), (1.0,), _half_line, _hplus_kernel, _hplus_integrals,
+                    angle=True,
                     radial=Radial(1.0, lambda chi: math.tanh(chi) ** 2,
                                   lambda u: math.atanh(math.sqrt(u)), 1.0, 0.25)),
     # sinh x + rho > 0
     "hminus": Family((-math.inf, math.inf), (), lambda rho: (math.asinh(-rho), math.inf),
-                     _hminus_kernel),
-    "affine": Family((0.0, math.inf), (0.0,), _half_line, _affine_kernel),
+                     _hminus_kernel, _hminus_integrals),
+    "affine": Family((0.0, math.inf), (0.0,), _half_line, _affine_kernel, _affine_integrals),
 }
 
 FAMILIES = tuple(FAMILY)

@@ -512,7 +512,9 @@ def _check_degenerate_frequency(rng):
         ("hplus", 2.0, 8.0, (0.8, 1.0), 1.9),
     ):
         model = make_model(fam, rho, xi)
-        js = [actions_mod.action_variables(model, E, L).J for L in L_pair]
+        # J = I_radial + L with I_radial by quadrature over each orbit, so
+        # the same J at both L is measured, not built in by a J(E) formula
+        js = [actions_mod.action_quadrature(model, E, L) + L for L in L_pair]
         worst = max(worst, abs(js[0] - js[1]))
         # positive frequency: E(J) strictly increasing across the window
         j_grid = np.linspace(js[0] * 0.5, js[0] * 0.99, 12)

@@ -12,8 +12,9 @@ from koenigs.invariants import (
     poisson_bracket,
     second_integrals,
 )
+from koenigs import models
 from koenigs.errors import ChartError
-from koenigs.models import PhasePoint, make_model, make_point
+from koenigs.models import PhasePoint, hamiltonian, make_model, make_point
 from koenigs.verify import _VERIFY_MODELS, _random_points
 
 
@@ -264,3 +265,95 @@ def test_chart_guard_covers_the_last_stretch():
     with pytest.raises(ChartError):
         poisson_bracket(funcs["E"], funcs["L"], PhasePoint(q1, pts.q2, pts.p1, pts.p2),
                         model=model)
+
+
+def _h_based_pair(model, point):
+    # the quadratic integrals written out with H = hamiltonian(model, point),
+    # each transcendental taken where it is needed
+    rho = model.rho
+    q1, q2, p1, p2 = point.q1, point.q2, point.p1, point.p2
+    H = hamiltonian(model, point)
+    if model.family == "trig":
+        s, c = np.sin(q1), np.cos(q1)
+        return (np.exp(q2) * (s * p1 * p2 + c * p2**2 - rho * H),
+                np.exp(-q2) * (-s * p1 * p2 + c * p2**2 - rho * H))
+    if model.family == "affine":
+        drop = 2.0 * rho * H - p2**2
+        return (q1 * p1 * p2 - q2 * drop,
+                0.5 * (-(q1**2) * p2**2 + 2.0 * q2 * q1 * p1 * p2 - q2**2 * drop))
+    if model.family == "hminus":
+        cross = np.cosh(q1) * p1 * p2
+        rest = np.sinh(q1) * p2**2 - H
+        angle = q2
+    elif model.family == "h0":
+        cross = p1 * p2 / q1
+        rest = H - p2**2 / q1**2
+        angle = 2 * q2
+    else:
+        cross = p1 * p2 / np.tanh(q1)
+        rest = H - (1.0 + np.cosh(q1) ** 2) / (2.0 * np.sinh(q1) ** 2) * p2**2
+        angle = 2 * q2
+    c, s = np.cos(angle), np.sin(angle)
+    return c * cross + s * rest, -s * cross + c * rest
+
+
+def _point_layouts(model, rng):
+    pts = _random_points(model, rng, 24 * 25)
+    fields = (pts.q1, pts.q2, pts.p1, pts.p2)
+    yield [PhasePoint(*(float(v[i]) for v in fields)) for i in range(40)]
+    yield [pts, PhasePoint(*(v.reshape(24, 25) for v in fields))]
+    # each coordinate in turn a Python float, the others arrays
+    yield [PhasePoint(*(float(v[0]) if i == k else v for i, v in enumerate(fields)))
+           for k in range(4)]
+
+
+@pytest.mark.parametrize("family", list(_VERIFY_MODELS))
+def test_integral_rows_match_the_h_based_formulas(family):
+    model = _VERIFY_MODELS[family]
+    funcs = conserved_functions(model)
+    for layout in _point_layouts(model, np.random.default_rng(43)):
+        for point in layout:
+            ref = _h_based_pair(model, point)
+            for got in (second_integrals(model, point), (funcs["S1"](point), funcs["S2"](point)),
+                        conserved_set(model, point).as_dict().values()):
+                *_, s1, s2 = got
+                for g, r in zip((s1, s2), ref):
+                    assert np.shape(g) == np.shape(r)
+                    gap = np.abs(g - r) / np.maximum(1.0, np.abs(r))
+                    assert np.max(gap) <= 1e-14, (family, np.shape(point.q1), np.max(gap))
+
+
+def test_integrals_make_no_kernel_calls(monkeypatch):
+    calls = []
+    kernel = models.kernel
+    monkeypatch.setattr(models, "kernel", lambda *args: calls.append(1) or kernel(*args))
+    rng = np.random.default_rng(47)
+    for model in _VERIFY_MODELS.values():
+        funcs = conserved_functions(model)
+        pts = _random_points(model, rng, 5)
+        for point in (pts, PhasePoint(*(float(v[0]) for v in (pts.q1, pts.q2, pts.p1, pts.p2)))):
+            funcs["S1"](point), funcs["S2"](point), second_integrals(model, point)
+            poisson_bracket(funcs["S1"], funcs["S2"], point, model=model)
+    assert calls == []
+    funcs["E"](point)  # the energy itself is `hamiltonian`, through `kernel`
+    assert calls == [1]
+
+
+def test_doubled_hplus_angular_term_breaks_conservation():
+    # the P_phi^2 coefficient of S1 is (1 + cosh^2)/(2 sinh^2); doubling it
+    # gives a function that does not commute with H, and the bracket says so
+    model = _VERIFY_MODELS["hplus"]
+    funcs = conserved_functions(model)
+
+    def doubled(z):
+        cross = z.p1 * z.p2 / np.tanh(z.q1)
+        D = (1.0 + np.cosh(z.q1) ** 2) / np.sinh(z.q1) ** 2
+        rest = hamiltonian(model, z) - D * z.p2**2
+        return np.cos(2 * z.q2) * cross + np.sin(2 * z.q2) * rest
+
+    pts = _random_points(model, np.random.default_rng(53), 2000)
+    for func, bad in ((funcs["S1"], False), (doubled, True)):
+        val = poisson_bracket(funcs["E"], func, pts, model=model)
+        scale = np.maximum(1.0, np.maximum(np.abs(funcs["E"](pts)), np.abs(func(pts))))
+        worst = np.max(np.abs(val) / scale)
+        assert worst > 1e-2 if bad else worst < 5e-13, (bad, worst)

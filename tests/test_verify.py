@@ -99,3 +99,14 @@ def test_raising_check_is_reported_as_fail(monkeypatch, name):
     assert result.status == "FAIL"
     assert result.detail.startswith("ZeroDivisionError")
     assert result.value is None
+
+
+def test_degenerate_frequency_reads_the_quadrature(monkeypatch):
+    # the row compares I_radial + L by quadrature at two L, so an action
+    # that drifts with L shows in it; the closed-form J(E) takes no L
+    check = {name: check for name, check, _ in CHECKS}["actions.degenerate_frequency"]
+    assert check(None) < 1e-13
+    quad = verify.actions_mod.action_quadrature
+    monkeypatch.setattr(verify.actions_mod, "action_quadrature",
+                        lambda model, E, L: quad(model, E, L) * (1.0 + 1e-8 * L))
+    assert check(None) > 1e-10
