@@ -23,10 +23,10 @@ and `generators`.
 Every Hamiltonian has the shape H = (a(q1) p1^2 + b(q1) p2^2 + c(q1)) / 2,
 so the metric is diag(1/a, 1/b) and the potential is c/2.  All coordinate
 functions below accept scalars or numpy arrays.  `kernel` must stay
-analytic in q1 (the flow differentiates it by complex step) and, on hplus,
-finite out to chi = 200.032 (the eigensolve's longest domain, 200 snapped
-up to whole cells of its 0.056 grid): no product there may overflow where
-the ratio it feeds does not.
+analytic in q1 (the flow and the eigensolve differentiate it by complex
+step) and, on hplus, finite out to chi = 300 (where the eigensolve's
+collocation reads its last coefficients, past its longest domain of
+200.032): no product there may overflow where the ratio it feeds does not.
 """
 
 import cmath

@@ -14,32 +14,21 @@ solves -(p y')' + V y = E w y with
 
     p = sqrt(a/b),    V = m^2/p + c/sqrt(a b),    w = 2/sqrt(a b).
 
-On a cell-centred grid that is a symmetric tridiagonal matrix.  The grid
-error is a series in h^2, so four grids, h = 0.056, 0.028, 0.014 and 0.007,
-all ending at the same x, extrapolate away its h^2, h^4 and h^6 terms:
-bisection on the 0.056 grid, certified Rayleigh-quotient refinement on the
-finer three.  LAPACK bisection with Sturm counts finds the 0.056 levels and
-sizes the domain; each finer grid refines the levels of the grid before by
-Rayleigh-quotient iteration, and keeps them only when residual windows and a
-Sturm count prove that they are the lowest eigenvalues, else it bisects.
-The eigenfunction residual applies the same operator, summed over
-stretches of 4096 grid points.  Neither consults the closed forms.  The
-HypPlus count law is checked by one Sturm count just below the well edge,
-on a grid of its own (h = 0.004) over chi up to 10, whose outer end is the
-solution that decays at that energy; that end lies between a Dirichlet and
-a Robin end, so the count lies between their counts.
-The eigensolve is the only user of scipy here: scipy.linalg loads at the
-first solve, and the closed forms, eigenfunctions and residuals need numpy
-only.
+`shoot_eigenvalue` solves it by Chebyshev collocation on the half line,
+indexed by Sturm counts on a coarse grid; `count_bound_levels` counts the
+HypPlus levels by one Sturm count, and the eigenfunction residual applies
+the flux form on a fine grid.  None consults the closed forms; scipy.linalg
+loads at the first solve or count, and the rest needs numpy only.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError, NoBoundState
-from .models import FAMILY, check_chart, kernel
+from .models import COMPLEX_STEP, FAMILY, check_chart, kernel
 from .specfun import jacobi, laguerre
 
 
@@ -107,25 +96,21 @@ def eigenfunction(model, level, position):
 
 # -- flux-form eigensolve -----------------------------------------------------
 
-# Richardson grids for the second-order cell-centred scheme: each step
-# halves the last, and the domain search runs on the first
-_H_GRIDS = (0.056, 0.028, 0.014, 0.007)
-# the level count keeps a finer grid of its own: a level a few 1e-6 below
-# the count's probe must not cross it, and the search's 0.056 grid moves
-# levels far more
+# step of the level search's grid, which sizes the domain and the map
+_H_SEARCH = 0.056
+# the level count's own finer grid: a level a few 1e-6 below its probe must
+# not cross it, and the search's 0.056 grid moves levels far more
 _H_COUNT = 0.004
-# outer end of the radial domain: the eigensolve's first try, and the longest
-# it tries (r for h0, chi for hplus), each snapped up to whole cells of the
-# grid that runs there, to 200.032 on the eigensolve's 0.056 grid; the hplus
-# kernel stays finite up to the longest end.  The count's one domain is the
-# first, its outer end the solution that decays beyond it
+# outer end of the radial domain (r for h0, chi for hplus): the search's
+# first try and its longest, 200.032 in whole cells of its grid; the count's
+# one domain is the first, its outer end the solution that decays beyond it
 _X_START = 10.0
 _X_MAX = 200.0
-# Rayleigh-quotient refinement of a finer grid stops at a residual of
-# _RQI_TOL max(1, |E|), after at most _RQI_STEPS solves per level; from
-# the grid before, it takes about two
-_RQI_TOL = 1e-9
-_RQI_STEPS = 6
+# collocation sizes, odd: no node on the axis; two neighbours settle at _SETTLE
+_LADDER = (81, 121, 181, 271)
+_SETTLE = 1e-11
+# the collocation reads r, chi <= 300: there hplus coefficients are their limits
+_R_CLIP = 300.0
 # lowest eigenvalues solved so far per (model, |m|), oldest entry evicted first
 _LEVEL_CACHE_CAP = 64
 _LEVELS = {}
@@ -178,21 +163,11 @@ def _flux_matrix(model, m, x_max, h):
     return diag, off, p[-1] / (h**2 * w[-1])
 
 
-def _eigenvalues(model, m, x_max, h, guess=None, **select):
-    """Selected eigenvalues of `_flux_matrix`, bisected or refined from a guess.
-
-    Without a guess LAPACK bisects the `select` eigenvalues with Sturm
-    counts.  A guess of the lowest len(guess) eigenvalues, which must be
-    what `select` picks, is refined by `_refine`; when its certificate
-    fails, the eigenvalues are bisected as without a guess.
-    """
-    diag, off, _ = _flux_matrix(model, m, x_max, h)
-    if guess is not None:
-        found = _refine(diag, off, guess)
-        if found is not None:
-            return found
+def _eigenvalues(model, m, x_max, h, **select):
+    """Selected eigenvalues of `_flux_matrix`, bisected by LAPACK with Sturm counts."""
     from scipy.linalg import eigh_tridiagonal
 
+    diag, off, _ = _flux_matrix(model, m, x_max, h)
     return eigh_tridiagonal(diag, off, eigvals_only=True, **select)
 
 
@@ -210,114 +185,142 @@ def _count_up_to(diag, off, x):
     ))
 
 
-def _refine(diag, off, guess):
-    """Lowest len(guess) eigenvalues by certified Rayleigh-quotient iteration, or None.
+def _decay_length(model, E, depth=1.0):
+    """Outer end that holds a level at E to well below 1e-10 (inf at or above the edge).
 
-    Each level starts from its guess and the constant vector.  A step
-    solves (T - sigma) x = v with LAPACK dgtsv and sets v = x / |x|,
-    sigma = v.Tv and eta = |Tv - sigma v|, until eta <= _RQI_TOL max(1,
-    |sigma|).  T has an eigenvalue in [sigma - eta, sigma + eta] (Parlett,
-    The Symmetric Eigenvalue Problem, 4.5).  When these windows increase
-    without overlap, and the Sturm count just past the top one reads
-    len(guess), window j holds the j-th eigenvalue.  None when a solve is
-    singular, a level is not converged after _RQI_STEPS solves, or the
-    certificate fails.
+    depth scales the decay term: 1/18 gives one HypPlus decay length.
     """
-    from scipy.linalg.lapack import dgtsv
-
-    start = np.full(len(diag), 1.0 / math.sqrt(len(diag)))
-    levels = []
-    top = -math.inf
-    for sigma in guess:
-        v = start
-        for _ in range(_RQI_STEPS):
-            _, _, _, x, info = dgtsv(off, diag - sigma, off, v)
-            scale = math.sqrt(float(x @ x))
-            if info or not 0.0 < scale < math.inf:
-                return None
-            v = x / scale
-            tv = diag * v
-            tv[:-1] += off * v[1:]
-            tv[1:] += off * v[:-1]
-            sigma = float(v @ tv)
-            tv -= sigma * v
-            eta = math.sqrt(float(tv @ tv))
-            if eta <= _RQI_TOL * max(1.0, abs(sigma)):
-                break
-        else:
-            return None
-        if sigma - eta <= top:
-            return None
-        levels.append(sigma)
-        top = sigma + eta
-    # a computed Sturm count is exact for a matrix a few ulps of |T| away;
-    # the slack keeps the top window's eigenvalue clear of that
-    slack = 1e-12 * (np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0))
-    if _count_up_to(diag, off, top + slack) != len(levels):
-        return None
-    return np.array(levels)
-
-
-def _decay_length(model, E):
-    """Outer end that holds a level at E to well below 1e-10 (inf at or above the edge)."""
     delta = _xi_eff(model) - 2.0 * model.rho * E
     if delta <= 0.0:
         return math.inf
     sq = math.sqrt(delta)
     if model.family == "h0":
         # turning point r^2 = 2E/delta, then about e^-70 of Gaussian decay
-        return math.sqrt(2.0 * E / delta + 70.0 / sq)
+        return math.sqrt(2.0 * E / delta + 70.0 * depth / sq)
     # turning point, then the density decays as exp(-2 sqrt(delta) chi)
-    return 0.5 * math.log1p(8.0 * E / delta) + 18.0 / sq
+    return 0.5 * math.log1p(8.0 * E / delta) + 18.0 * depth / sq
 
 
 def _edge(model):
     return _xi_eff(model) / (2.0 * model.rho)
 
 
-def _solve_levels(model, m, k):
-    """Lowest k+1 radial eigenvalues, the domain sized from the top one.
+@functools.lru_cache(maxsize=len(_LADDER))
+def _chebyshev(N):
+    """Points x_j = cos(j pi / N) in (0, 1) and the derivative rows folded by parity.
 
-    Bisection on the 0.056 grid, certified Rayleigh-quotient refinement on
-    the finer three.  The search bisects on the coarsest grid, with the
-    outer end snapped up to a whole number of its cells, until that covers
-    the decay length of the grid's top level; so all four grids end at the
-    same x and the last search solve is the coarsest term of the
-    extrapolation.  The 0.028 grid refines the 0.056 levels, and the finer
-    two refine E_h + (E_h - E_2h)/4, the grid before with its h^2 term
-    moved to the next step.  Step j of the Richardson loop combines
-    neighbouring grids as (4^j fine - coarse) / (4^j - 1), which removes
-    the h^(2j) term.  The domain is settled when it also covers the decay
-    length of the extrapolated top level, which near the HypPlus edge can
-    be several times that of the 0.056 one; else the search grows the domain
-    up to chi = 200.032 and then raises ConvergenceFailure.  A HypPlus
-    level above the edge on the current domain is NoBoundState when
-    `count_bound_levels`, taken once per solve, is at most k; else the
-    domain keeps growing.
+    Trefethen, Spectral Methods in MATLAB (SIAM 2000), Programs 11 and 28: rows x > 0,
+    mirror columns added (even) or subtracted (odd), x = +-1 dropped (u = 0).  Read-only.
     """
-    h = _H_GRIDS[0]
+    j = np.arange(N + 1)
+    x = np.cos(np.pi * j / N)
+    c = np.where((j == 0) | (j == N), 2.0, 1.0) * (-1.0) ** j
+    half = (N - 1) // 2
+    rows, diag = np.arange(half), np.arange(1, half + 1)
+    # rows j = 1 .. half only, built in place: c_i / (c_j (x_i - x_j))
+    D = x[1:half + 1, None] - x
+    D[rows, diag] = 1.0
+    np.reciprocal(D, out=D)
+    D *= c[1:half + 1, None]
+    D /= c
+    D[rows, diag] = 0.0
+    D[rows, diag] = -D.sum(axis=1)
+    inner, mirror = D[:, 1:half + 1], D[:, N - 1:N - half - 1:-1]
+    out = (x[1:half + 1], inner + mirror, inner - mirror)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _collocation(model, m, L, N):
+    """Eigenvalues, unsorted and complex, of the m-th radial operator at N - 1 mapped points.
+
+    Divided by w the flux form reads -(p/w) y'' - (p'/w) y' + (V/w) y = E y,
+    p' by complex step on `kernel`.  p, V, w are odd in r, so y has parity
+    (-1)^m on the whole line r = L x / sqrt(1 - x^2) (Boyd, J. Comput. Phys.
+    70, 63 (1987)); the matrix is folded onto r > 0 and acts on u = y / g,
+    g = sqrt(r / p).  On HypPlus g carries the continuum edge's e^(-chi/2):
+    just below the edge only the bound one of the two decaying solutions
+    has a u that vanishes at infinity.  On Hyp0 g = 1.
+    """
+    # scipy's LAPACK, as for the Sturm counts: numpy's would add 0.7 MB of buffers
+    from scipy.linalg import eigvals
+
+    x, even, odd = _chebyshev(N)
+    q = 1.0 - x * x
+    r = np.minimum(L * x / np.sqrt(q), _R_CLIP)
+    p, V, w = _flux_coefficients(model, m, r + 1j * COMPLEX_STEP)
+    dp = p.imag / COMPLEX_STEP
+    p, V, w = p.real, V.real, w.real
+    phi = np.diag(0.5 * (1.0 / r - dp / p))
+    # y'/g = (d/dr + phi) u, d/dr = (dx/dr) d/dx; u' has the other parity
+    dxdr = (q * np.sqrt(q) / L)[:, None]
+    same, flip = (odd, even) if m % 2 else (even, odd)
+    first = dxdr * same + phi
+    A = -(p / w)[:, None] * ((dxdr * flip + phi) @ first) - (dp / w)[:, None] * first
+    A[np.diag_indices_from(A)] += V / w
+    return eigvals(A, overwrite_a=True, check_finite=False)
+
+
+def _collocation_levels(model, m, coarse):
+    """Levels 0..k up the N ladder from the search levels 0..k+1, and why they fail.
+
+    Search level k sets the map length: its turning point plus one HypPlus
+    decay length.  Level j is the eigenvalue nearest level j of the size
+    before (of the search, at the first), passing over any between levels;
+    a nonsymmetric matrix has no Sturm count, so it must also lie within
+    half the distance from search level j to its neighbours.
+    """
+    L = _decay_length(model, coarse[-2], 1.0 / 18.0)
+    levels = coarse[:-1]
+    for N in _LADDER:
+        found = _collocation(model, m, L, N)
+        last, levels = levels, found[np.argmin(np.abs(found - levels[:, None]), axis=1)]
+        off = np.max(np.abs(levels - last) / np.maximum(1.0, np.abs(levels)))
+        if N > _LADDER[0] and off <= _SETTLE:
+            break
+    else:
+        return levels, (f"collocation N {_LADDER[-2]} and {_LADDER[-1]} disagree by "
+                        f"{off:.3g} relative (tolerance {_SETTLE:g})")
+    gaps = np.diff(coarse)
+    half = 0.5 * np.minimum(gaps, np.concatenate(([np.inf], gaps[:-1])))
+    miss = np.abs(levels - coarse[:-1])
+    j = int(np.argmax(miss / half))
+    if miss[j] < half[j]:
+        return levels, ""
+    return levels, (f"collocation level {j} is {miss[j]:.3g} from search level {j}, "
+                    f"{coarse[j]:.10g}; its index needs less than {half[j]:.3g}")
+
+
+def _solve_levels(model, m, k):
+    """Lowest k+1 radial eigenvalues, by mapped Chebyshev collocation.
+
+    The search bisects levels 0..k+1 of the 0.056 grid, its outer end whole
+    cells, until that covers the decay length of its level k and then of the
+    collocation's; past chi = 200.032, or when the collocation fails on a
+    settled domain, ConvergenceFailure.  A HypPlus level above the edge is
+    NoBoundState when `count_bound_levels`, taken once, is at most k.
+    """
+    h = _H_SEARCH
     x_max = _X_START
     count = None  # count_bound_levels, taken at most once: its domain is fixed
     while True:
         cells = math.ceil(x_max / h)
         x_max = cells * h
-        need = math.inf  # also when fewer cells than k + 1 hold no k-th level
-        if k < cells:
-            table = [_eigenvalues(model, m, x_max, h, select="i", select_range=(0, k))]
-            need = _decay_length(model, table[0][-1])
+        need = math.inf  # also when fewer cells than k + 2 hold no k-th level
+        failure = ""
+        if k + 1 < cells:
+            # bisected to 1e-6, far below the grid's error
+            coarse = _eigenvalues(model, m, x_max, h, select="i", select_range=(0, k + 1), tol=1e-6)
+            need = _decay_length(model, coarse[k])
         # the slack stops round-off in E forcing more passes
         if need <= 1.05 * x_max:
-            for step in _H_GRIDS[1:]:
-                guess = table[-1] if len(table) == 1 else table[-1] + (table[-1] - table[-2]) / 4.0
-                table.append(_eigenvalues(
-                    model, m, x_max, step, guess=guess, select="i", select_range=(0, k)
-                ))
-            for j in range(1, len(table)):
-                f = 4.0**j
-                table = [(f * fine - coarse) / (f - 1.0) for coarse, fine in zip(table, table[1:])]
-            need = _decay_length(model, table[0][-1])
+            levels, failure = _collocation_levels(model, m, coarse)
+            need = _decay_length(model, levels[-1].real)
             if need <= 1.05 * x_max:
-                return tuple(float(E) for E in table[0])
+                if failure:
+                    raise ConvergenceFailure(f"level k={k}, m={m}: {failure}")
+                return tuple(float(E.real) for E in levels)
         if need == math.inf and model.family == "hplus":
             if count is None:
                 count = count_bound_levels(model, m)
@@ -325,26 +328,22 @@ def _solve_levels(model, m, k):
                 raise NoBoundState(f"no level k={k} for m={m}: the HypPlus well holds fewer states")
         if x_max >= _X_MAX:
             raise ConvergenceFailure(
-                f"level k={k}, m={m} not settled on the longest domain {x_max:g}"
+                f"level k={k}, m={m} not settled on the longest domain {x_max:g}: its "
+                f"density needs {need:.4g}" + (f"; {failure}" if failure else "")
             )
         x_max = min(_X_MAX, 2.0 * x_max if need == math.inf else need)
 
 
 def shoot_eigenvalue(model, m, k):
-    """k-th radial eigenvalue for angular number m, by a Sturm-Liouville eigensolve.
+    """k-th radial eigenvalue for angular number m, by spectral collocation.
 
-    Independent of the closed-form spectrum: the flux form of the radial
-    equation on cell-centred grids of step 0.056, 0.028, 0.014 and 0.007,
-    and three Richardson steps that remove the h^2, h^4 and h^6 terms of
-    the grid error.  Bisection on the 0.056 grid, certified
-    Rayleigh-quotient refinement on the finer three: LAPACK bisects the
-    coarsest grid with Sturm counts, and each finer grid refines the
-    levels of the grid before, keeping them when residual windows and a
-    Sturm count certify them, else bisecting too.  The outer end grows, on
-    the 0.056 grid, until it covers the decay length of that grid's k-th
-    eigenvalue and then of the extrapolated one; it is a whole number of
-    0.056 cells, so all four grids end at the same x.  ConvergenceFailure
-    when the extrapolated level needs more than chi = 200.032.
+    Independent of the closed-form spectrum.  Sturm counts on a 0.056 grid
+    index the lowest levels and size the domain and the map length L; the
+    radial equation is collocated at Chebyshev points of r = L x /
+    sqrt(1 - x^2), folded by parity, at N = 81 and 121, else 181 and 271,
+    until two sizes agree to 1e-11 max(1, |E|), and each level must lie
+    within half a gap of the search level of its index.  Else, as when the
+    top level needs more than chi = 200.032, ConvergenceFailure says how far.
 
     One solve returns levels 0..k, and a later call for a higher k solves
     afresh; so ask each (model, |m|) for its highest level first.  Levels in

@@ -560,8 +560,9 @@ def _check_spectrum_vs_shooting(rng):
     # the fixed models, then two deep h0 wells drawn from the seed, whose
     # top levels reach E of 3 to 46, and two deep hplus wells, whose top
     # levels reach E of about 57.  A drawn hplus level is kept while
-    # xi + 1/4 - 2 rho E >= 0.2: closer to the edge its density decays
-    # beyond chi = 200 and the solve raises ConvergenceFailure
+    # xi + 1/4 - 2 rho E >= 0.2: much closer to the edge its density decays
+    # too slowly for N = 271 or for chi = 200, and the solve raises
+    # ConvergenceFailure
     cases = [case + (0.0,) for case in SPECTRUM_MODELS]
     for _ in range(2):
         cases.append(("h0", float(rng.uniform(0.3, 3.0)), float(rng.uniform(20.0, 40.0)), 4, 4, 0.0))
@@ -581,12 +582,16 @@ def _check_spectrum_vs_shooting(rng):
 
 
 def _check_degeneracy(rng):
-    # energy spread within each J_tilde multiplet
+    # spread of the eigensolve's levels within each J_tilde multiplet, n <= 4
+    # and 0 <= m <= 4; the closed form names the levels, the eigensolve
+    # gives their energies, highest n first: one solve per (model, m)
     worst = 0.0
     for fam, rho, xi in (("h0", 0.8, 1.1), ("hplus", 2.0, 31.75)):
+        model = make_model(fam, rho, xi)
         by_j = {}
-        for lv in quantum_mod.spectrum(make_model(fam, rho, xi), 4, 4):
-            by_j.setdefault(lv.J_tilde, []).append(lv.E)
+        for lv in sorted(quantum_mod.spectrum(model, 4, 4), key=lambda lv: -lv.n):
+            if lv.m >= 0:
+                by_j.setdefault(lv.J_tilde, []).append(quantum_mod.shoot_eigenvalue(model, lv.m, lv.n))
         worst = max(worst, *(max(es) - min(es) for es in by_j.values()))
     return worst
 
@@ -785,7 +790,7 @@ CHECKS = (
     ("actions.quadrature_vs_closed", _check_actions_quadrature, 1e-8),
     ("actions.energy_roundtrip", _check_energy_roundtrip, 1e-10),
     ("actions.hplus_endpoint_zero", _check_hplus_endpoint, 1e-8),
-    ("quantum.spectrum_vs_shooting", _check_spectrum_vs_shooting, 1e-8),
+    ("quantum.spectrum_vs_shooting", _check_spectrum_vs_shooting, 4e-11),
     ("quantum.degeneracy_via_j_tilde", _check_degeneracy, 1e-12),
     ("quantum.hplus_count_law", _check_count_law, None),
     ("quantum.classical_correspondence", _check_classical_correspondence, 1e-12),

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from koenigs import quantum
 from koenigs.errors import ConvergenceFailure, DomainError, NoBoundState
-from koenigs.models import make_model
+from koenigs.models import COMPLEX_STEP, make_model
 from koenigs.quantum import (
     count_bound_levels,
     eigenfunction,
@@ -94,136 +95,132 @@ def test_shooting_matches_formula_high_energy():
         assert shoot_eigenvalue(model, 0, 4) == pytest.approx(level.E, abs=1e-8), fam
 
 
-def _record_grids(monkeypatch):
-    """(x_max, h, eigenvalues) of every grid solved from now on."""
-    calls = []
-    real = quantum._eigenvalues
-
-    def recording(model, m, x_max, h, **select):
-        found = real(model, m, x_max, h, **select)
-        calls.append((x_max, h, found))
-        return found
-
-    monkeypatch.setattr(quantum, "_eigenvalues", recording)
-    return calls
+def _closed_levels(model, m):
+    """Closed-form radial energies of one m, lowest first."""
+    return np.array(sorted(lv.E for lv in spectrum(model, 40, m) if lv.m == m))
 
 
-def test_four_grids_share_the_domain_end(monkeypatch):
-    # the top level (J = 9) of a shallow h0 well needs a domain past
-    # _X_START; the search end is snapped up to whole 0.056 cells, so all
-    # four grids end at the same x
-    calls = _record_grids(monkeypatch)
-    quantum._solve_levels(make_model("h0", 1.0, 2.5), 0, 4)
-    coarse = quantum._H_GRIDS[0]
-    assert len(calls) >= 5
-    assert [h for _, h, _ in calls[-4:]] == [0.056, 0.028, 0.014, 0.007]
-    ends = {x for x, _, _ in calls[-4:]}
-    assert len(ends) == 1 and ends.pop() > calls[0][0]
-    for x, _, _ in calls:
-        assert abs(x / coarse - round(x / coarse)) < 1e-9
-    # the first end is the first whole number of cells at or past _X_START
-    assert 0.0 <= calls[0][0] - quantum._X_START < coarse
+def _full_line_levels(model, m, L, N):
+    """Eigenvalues of parity (-1)^m of the unfolded collocation on the whole line.
+
+    The same operator as `quantum._collocation`, with p, V and w extended as
+    odd functions and no folding: the parity of each eigenvector sorts it.
+    """
+    j = np.arange(N + 1)
+    x = np.cos(np.pi * j / N)
+    c = np.where((j == 0) | (j == N), 2.0, 1.0) * (-1.0) ** j
+    D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(N + 1))
+    D = (D - np.diag(D.sum(axis=1)))[1:N, 1:N]
+    x = x[1:N]
+    q = 1.0 - x * x
+    r = L * x / np.sqrt(q)
+    p, V, w = quantum._flux_coefficients(model, m, np.abs(r) + 1j * COMPLEX_STEP)
+    dp = p.imag / COMPLEX_STEP
+    p, V, w = np.sign(r) * p.real, np.sign(r) * V.real, np.sign(r) * w.real
+    step = (q * np.sqrt(q) / L)[:, None] * D + np.diag(0.5 * (1.0 / r - dp / p))
+    A = -(p / w)[:, None] * (step @ step) - (dp / w)[:, None] * step + np.diag(V / w)
+    E, vec = np.linalg.eig(A)
+    parity = (-1) ** m
+    same = np.linalg.norm(vec[::-1] - parity * vec, axis=0)
+    return np.sort_complex(E[same < np.linalg.norm(vec[::-1] + parity * vec, axis=0)])
 
 
-def test_observed_order_is_two(monkeypatch):
-    # (E_a - E_b)/(E_b - E_c) near 4 on every consecutive triple of grids
-    # says the error is c h^2 plus higher even powers, as the extrapolation
-    # assumes.  The floor skips levels whose grid differences are 1e-9 or
-    # less: there rounding in the eigenvalues sets the ratio (3.1 to 4.4 at
-    # h0 rho 2, xi 1, m 2-3)
-    from koenigs.verify import SPECTRUM_MODELS
-
-    calls = _record_grids(monkeypatch)
-    ratios = [[], []]  # the coarse and the fine triple
-    for fam, rho, xi, n_max, m_max in SPECTRUM_MODELS:
-        model = make_model(fam, rho, xi)
-        for m in range(m_max + 1):
-            top = max((lv.n for lv in spectrum(model, n_max, m) if lv.m == m), default=None)
-            if top is None:
-                continue
-            quantum._solve_levels(model, m, top)
-            found = [f for _, _, f in calls[-4:]]
-            for i, (a, b, c) in enumerate(zip(found, found[1:], found[2:])):
-                settled = np.abs(a - b) > 1e-7 * np.maximum(1.0, np.abs(b))
-                ratios[i].extend((a - b)[settled] / (b - c)[settled])
-    for triple in ratios:
-        assert len(triple) >= 80  # of the 129 levels solved
-        assert 3.9 <= min(triple) and max(triple) <= 4.1
+@pytest.mark.parametrize("family, rho, xi, m", [
+    ("h0", 0.8, 1.1, 0), ("h0", 0.8, 1.1, 1), ("h0", 0.8, 1.1, 2),
+    ("hplus", 0.5, 7.75, 0), ("hplus", 0.5, 7.75, 1),
+])
+def test_folded_solve_is_the_full_line_solve_of_one_parity(family, rho, xi, m):
+    # folding by parity halves the matrix and keeps every eigenvalue of the
+    # unfolded one whose eigenvector has the parity (-1)^m
+    model = make_model(family, rho, xi)
+    L, N = 3.0, 81
+    folded = np.sort_complex(quantum._collocation(model, m, L, N))[:6]
+    full = _full_line_levels(model, m, L, N)
+    assert len(full) == (N - 1) // 2
+    assert np.max(np.abs(full[:6] - folded) / np.abs(folded)) < 1e-10
 
 
-def test_richardson_removes_three_even_powers(monkeypatch):
-    # grid eigenvalues that are exactly E0 + c1 h^2 + c2 h^4 + c3 h^6 come
-    # back as E0 to rounding; three grids, without the third step, miss
-    # by about 4e-7 here
-    E0 = np.array([0.5, 1.25, 2.0])
-    c1, c2, c3 = np.array([1.0, -3.0, 7.0]), np.array([20.0, 50.0, -80.0]), np.array([300.0, -900.0, 500.0])
-
-    def series(model, m, x_max, h, **select):
-        return E0 + c1 * h**2 + c2 * h**4 + c3 * h**6
-
-    monkeypatch.setattr(quantum, "_eigenvalues", series)
-    got = quantum._solve_levels(make_model("h0", 1.0, 20.0), 0, 2)
-    assert np.max(np.abs(np.array(got) - E0)) < 1e-14
-
-
-def test_refined_grids_match_bisection(monkeypatch):
-    # every finer grid of the SPECTRUM_MODELS solves is refined and
-    # certified, and within the certified 1e-9 max(1, |E|) of bisection on
-    # the same matrix
-    from scipy.linalg import eigh_tridiagonal
-
-    from koenigs.verify import SPECTRUM_MODELS
-
-    worst, grids = [], []
-    real = quantum._refine
-
-    def comparing(diag, off, guess):
-        found = real(diag, off, guess)
-        grids.append(found is not None)
-        if found is not None:
-            ref = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                   select_range=(0, len(guess) - 1))
-            worst.append(np.max(np.abs(found - ref) / np.maximum(1.0, np.abs(ref))))
-        return found
-
-    monkeypatch.setattr(quantum, "_refine", comparing)
-    solves = 0
-    for fam, rho, xi, n_max, m_max in SPECTRUM_MODELS:
-        model = make_model(fam, rho, xi)
-        for m in range(m_max + 1):
-            top = max((lv.n for lv in spectrum(model, n_max, m) if lv.m == m), default=None)
-            if top is not None:
-                quantum._solve_levels(model, m, top)
-                solves += 1
-    assert len(grids) == 3 * solves and all(grids)
-    assert max(worst) <= quantum._RQI_TOL
+def test_error_falls_geometrically_along_the_size():
+    # every 20 more points gain at least 1.5 digits on the five m = 0 levels
+    # of a deep h0 well, down to round-off by N = 121
+    model = make_model("h0", 0.339, 37.36)
+    exact = _closed_levels(model, 0)[:5]
+    L = quantum._decay_length(model, exact[-1], 1.0 / 18.0)
+    errors = []
+    for N in (21, 41, 61, 81, 121):
+        found = np.sort(quantum._collocation(model, 0, L, N).real)[:5]
+        errors.append(np.max(np.abs(found - exact)))
+    assert all(fine < coarse / 30.0 for coarse, fine in zip(errors[:4], errors[1:4]))
+    assert errors[3] < 1e-8 and errors[4] < 1e-12
 
 
-def _certificate_case():
-    model = make_model("h0", 1.0, 3.0)
-    x_max, h = 10.024, 0.028
-    diag, off, _ = quantum._flux_matrix(model, 0, x_max, h)
-    lowest = quantum._eigenvalues(model, 0, x_max, h, select="i", select_range=(0, 2))
-    return model, x_max, h, diag, off, lowest
+def test_index_check_refuses_a_dropped_level(monkeypatch):
+    # with level 1 missing from every collocation spectrum, the level nearest
+    # its search level is a neighbour, half a gap or more away
+    model = make_model("h0", 1.0, 8.0)
+    missing = _closed_levels(model, 0)[1]
+    eigvals = scipy.linalg.eigvals
+
+    def dropping(a, **options):
+        found = eigvals(a, **options)
+        return np.delete(found, np.argmin(np.abs(found - missing)))
+
+    monkeypatch.setattr(scipy.linalg, "eigvals", dropping)
+    refused = (r"collocation level 1 is [0-9.e+-]+ from search level 1, [0-9.]+; "
+               r"its index needs less than [0-9.e+-]+")
+    with pytest.raises(ConvergenceFailure, match=refused):
+        quantum._solve_levels(model, 0, 3)
 
 
-@pytest.mark.parametrize("which", ["overlap", "shifted"])
-def test_certificate_rejects_bad_guesses(which):
-    # two guesses either side of level 1 both converge to it: the count just
-    # past it reads 2, as asked, and only the overlap of the two windows
-    # gives them away.  Guesses on levels 1 and 2 give disjoint windows, and
-    # only the count, 3 where 2 are asked for, gives them away.  Either way
-    # the grid is bisected.  Guesses near levels 0 and 1 are accepted
-    model, x_max, h, diag, off, lowest = _certificate_case()
-    assert quantum._refine(diag, off, lowest[:2] + 1e-3) is not None
-    if which == "overlap":
-        guess = lowest[1] + np.array([-1e-3, 1e-3])
-    else:
-        guess = lowest[1:] + 1e-3
-    assert quantum._refine(diag, off, guess) is None
-    select = dict(select="i", select_range=(0, 1))
-    got = quantum._eigenvalues(model, 0, x_max, h, guess=guess, **select)
-    assert np.array_equal(got, quantum._eigenvalues(model, 0, x_max, h, **select))
+def test_unsettled_ladder_names_the_sizes_and_their_disagreement(monkeypatch):
+    monkeypatch.setattr(quantum, "_LADDER", (11, 15))
+    unsettled = (r"level k=3, m=0: collocation N 11 and 15 disagree by [0-9.e+-]+ relative "
+                 r"\(tolerance 1e-11\)")
+    with pytest.raises(ConvergenceFailure, match=unsettled):
+        quantum._solve_levels(make_model("h0", 1.0, 8.0), 0, 3)
+
+
+def _spectrum_gate():
+    from koenigs.verify import CHECKS
+
+    return next(gate for name, _, gate in CHECKS if name == "quantum.spectrum_vs_shooting")
+
+
+@pytest.mark.parametrize("rho, xi", [
+    # drawn at seed 7: read 5.8e-9 (n 3, m 1) on the four-grid Richardson
+    # eigensolve
+    (0.3036857131959023, 36.424568367655326),
+    # drawn at seed 14: its m = 1 and 3 top levels lie between xi/(2 rho)
+    # and the edge, where a second solution decays too; without the
+    # e^(-chi/2) factor of the collocation's u they do not settle
+    (0.7489222365517152, 30.967264176266276),
+])
+def test_seeded_hplus_wells_within_the_spectrum_gate(rho, xi):
+    # every level the spectrum row keeps, xi + 1/4 - 2 rho E >= 0.2
+    model = make_model("hplus", rho, xi)
+    gate = _spectrum_gate()
+    for lv in sorted(spectrum(model, 4, 4), key=lambda lv: -lv.n):
+        if lv.m >= 0 and quantum._xi_eff(model) - 2.0 * model.rho * lv.E >= 0.2:
+            assert abs(shoot_eigenvalue(model, lv.m, lv.n) - lv.E) < gate, (lv.n, lv.m)
+
+
+@pytest.mark.parametrize("rho, xi, ms", [
+    (0.3094485822364786, 38.66447800450867, (2, 4)),  # top levels 0.044 below the edge
+    (0.366, 28.66, range(8)),  # N = 121 alone left its top level 6.7e-10 off
+])
+def test_near_edge_levels_are_right_or_refused(rho, xi, ms):
+    # each level is within the spectrum gate of the closed form or raises
+    # ConvergenceFailure; only a level near the edge may raise, and every
+    # level below it is still returned
+    model = make_model("hplus", rho, xi)
+    gate = _spectrum_gate()
+    for m in ms:
+        exact = _closed_levels(model, m)
+        for n in range(len(exact) - 1, -1, -1):
+            try:
+                assert abs(shoot_eigenvalue(model, m, n) - exact[n]) < gate, (m, n)
+            except ConvergenceFailure:
+                assert quantum._xi_eff(model) - 2.0 * rho * exact[n] < 0.1, (m, n)
 
 
 def test_count_bound_levels_matches_window():
@@ -469,6 +466,17 @@ def test_flux_coefficients_match_hand_formulas(family, rho, xi, x_max):
         for g, ref in zip(got, _hand_flux_coefficients(model, m, x)):
             assert np.all(np.isfinite(g)) and np.all(np.isfinite(ref))
             assert np.max(np.abs(g - ref) / np.abs(ref)) < 1e-13
+
+
+def test_collocation_coefficients_are_their_limits_at_the_clip():
+    # the collocation reads hplus at chi <= 300 through a complex step: there
+    # p/w and p'/w equal 1/(2 rho) and V/w equals xi/(2 rho), all finite
+    model = make_model("hplus", 0.3, 40.0)
+    p, V, w = quantum._flux_coefficients(model, 2, np.array([quantum._R_CLIP]) + 1j * COMPLEX_STEP)
+    dp = p.imag / COMPLEX_STEP
+    p, V, w = p.real, V.real, w.real
+    for got, limit in ((p / w, 1.0 / 0.6), (dp / w, 1.0 / 0.6), (V / w, 40.0 / 0.6)):
+        assert got[0] == pytest.approx(limit, rel=1e-14)
 
 
 @pytest.mark.parametrize("family", ["h0", "hplus"])
