@@ -360,8 +360,8 @@ def _parse_tol(text):
         value = float(text)
     except ValueError:
         raise UsageError(f"--tol must be a number or 'default', got {text!r}")
-    if value <= 0.0:
-        raise UsageError("--tol must be positive")
+    if not (math.isfinite(value) and value > 0.0):
+        raise UsageError(f"--tol must be finite and positive, got {text!r}")
     return value
 
 
@@ -395,6 +395,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         config = RunConfig(
             command=args.command,
             family=args.family,

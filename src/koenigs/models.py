@@ -24,9 +24,13 @@ Every Hamiltonian has the shape H = (a(q1) p1^2 + b(q1) p2^2 + c(q1)) / 2,
 so the metric is diag(1/a, 1/b) and the potential is c/2.  All coordinate
 functions below accept scalars or numpy arrays.  `kernel` must stay
 analytic in q1 (the flow and the eigensolve differentiate it by complex
-step) and, on hplus, finite out to chi = 300 (where the eigensolve's
-collocation reads its last coefficients, past its longest domain of
-200.032): no product there may overflow where the ratio it feeds does not.
+step, the curvature oracle by Cauchy integrals) and, on hplus, finite out
+to chi = 300 (where the eigensolve's collocation reads its last
+coefficients, past its longest domain of 200.032): no product there may
+overflow where the ratio it feeds does not.  `brioschi_curvature` takes
+Cauchy integrals of 1/a and 1/b on circles of radius min(1, chart margin)/4
+and half that, clear of their singularities: vertical lines through finite
+chart edges, or pi/2 off the real axis.
 """
 
 import cmath
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartError, ConstantCurvature, DomainError, NoGlobalStructure
+from .errors import ChartError, ConstantCurvature, ConvergenceFailure, DomainError, NoGlobalStructure
 
 _EDGE_TOL = 1e-12
 # imaginary step of every complex-step derivative: the flow's slopes and the
@@ -361,37 +365,32 @@ def scalar_curvature(model, q1):
 
 
 def brioschi_curvature(model, q1):
-    """Finite-difference curvature oracle, independent of the closed forms.
+    """Scalar curvature at scalar q1 by Cauchy integrals, independent of the closed forms.
 
-    For a diagonal metric E(q1) dq1^2 + G(q1) dq2^2 the Gauss curvature is
-    K = -(2 sqrt(EG))^-1 d/dq1 [ G'(q1) / sqrt(EG) ].  Both derivatives use
-    five-point stencils; the step shrinks near chart edges so the stencil
-    stays inside.
+    R = -[G'' - G'(E'G + EG')/(2EG)]/(EG) for E = 1/a, G = 1/b, with
+    f^(k)(q1) = k!/(M r^k) sum_j f(q1 + r e^{i theta_j}) e^{-i k theta_j} on
+    M = 32 points of circles of radius r = min(1, chart margin)/4 and r/2, in
+    one `kernel` call (Lyness & Moler, SIAM J. Numer. Anal. 4, 202 (1967)).
+    E and G are polynomial (h0) or singular only on vertical lines through
+    finite chart edges (trig, affine) or pi/2 off the real axis (hplus,
+    hminus), 4r or more away: truncation is at most 4^-32.  Raises
+    ConvergenceFailure when the radii disagree by over 1e-8 max(1, |R|) or R
+    is not finite (hplus past chi of about 170, where G'^2 overflows).
     """
-    h = 5e-4 * max(1.0, abs(q1))
-    margin = chart_margin(model, q1)
-    if margin < 5.0 * h:
-        h = margin / 5.0
-    if h <= 0:
-        raise ChartError(f"q1={q1} too close to a chart edge for the FD stencil")
-
-    def EG(q):
-        a, b, _ = kernel(model, q)
-        return 1.0 / a, 1.0 / b
-
-    def d5(f, q):
-        return (-f(q + 2 * h) + 8.0 * f(q + h) - 8.0 * f(q - h) + f(q - 2 * h)) / (12.0 * h)
-
-    def G_of(q):
-        return EG(q)[1]
-
-    def F(q):
-        E, G = EG(q)
-        return d5(G_of, q) / math.sqrt(E * G)
-
-    E0, G0 = EG(q1)
-    K = -d5(F, q1) / (2.0 * math.sqrt(E0 * G0))
-    return 2.0 * K
+    check_chart(model, q1)
+    r = 0.25 * min(1.0, chart_margin(model, q1))
+    radii, M = (r, 0.5 * r), 32
+    powers = np.exp(2j * math.pi / M * np.outer(np.arange(M), np.arange(3)))  # e^{i k theta_j}
+    a, b, _ = kernel(model, q1 + np.multiply.outer(radii, powers[:, 1]))
+    # [E or G][radius][k]: Taylor coefficient k times radius^k, as Python floats (no overflow warning)
+    taylor = (((1.0 / np.array([a, b])) @ powers.conj()).real / M).tolist()
+    R, R_half = (
+        -(2.0 * G2 - G1 * (E1 * G + E * G1) / (2.0 * E * G)) / (s**2 * E * G)
+        for (E, E1, _), (G, G1, G2), s in zip(*taylor, radii)
+    )
+    if not abs(R - R_half) <= 1e-8 * max(1.0, abs(R)):
+        raise ConvergenceFailure(f"{model.family} q1={q1}: R is {R!r} at radius {r:.3g}, {R_half!r} at half")
+    return R
 
 
 # -- Global structure ---------------------------------------------------

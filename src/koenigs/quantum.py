@@ -107,7 +107,7 @@ _H_COUNT = 0.004
 _X_START = 10.0
 _X_MAX = 200.0
 # collocation sizes, odd: no node on the axis; two neighbours settle at _SETTLE
-_LADDER = (81, 121, 181, 271)
+_LADDER = (81, 121, 181, 271, 401)
 _SETTLE = 1e-11
 # the collocation reads r, chi <= 300: there hplus coefficients are their limits
 _R_CLIP = 300.0
@@ -340,7 +340,7 @@ def shoot_eigenvalue(model, m, k):
     Independent of the closed-form spectrum.  Sturm counts on a 0.056 grid
     index the lowest levels and size the domain and the map length L; the
     radial equation is collocated at Chebyshev points of r = L x /
-    sqrt(1 - x^2), folded by parity, at N = 81 and 121, else 181 and 271,
+    sqrt(1 - x^2), folded by parity, at N = 81 and 121, else 181, 271 and 401,
     until two sizes agree to 1e-11 max(1, |E|), and each level must lie
     within half a gap of the search level of its index.  Else, as when the
     top level needs more than chi = 200.032, ConvergenceFailure says how far.

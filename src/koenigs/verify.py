@@ -27,11 +27,12 @@ import numpy as np
 from . import actions as actions_mod
 from . import quantum as quantum_mod
 from . import specfun as specfun_mod
-from .errors import BoundaryReached, NoMotion
+from .errors import BoundaryReached, KoenigsError, NoMotion
 from .flow import drift_report, integrate
 from .geodesics import classify, curve_residual, radial_momentum_sq, start_point
 from .invariants import _bracket, _gradients, algebra_residuals, conserved_set
 from .models import (
+    COMPLEX_STEP,
     FAMILY,
     PhasePoint,
     brioschi_curvature,
@@ -180,18 +181,11 @@ def _check_hamiltonian_from_metric(rng):
 
 
 def _check_curvature_vs_brioschi(rng):
-    worst = 0.0
-    for model in _VERIFY_MODELS.values():
-        if model.family == "hminus":
-            x_lo = math.asinh(0.4 - model.rho)
-            grid = np.linspace(x_lo + 0.1, x_lo + 2.2, 25)
-        else:
-            lo, hi = _Q1_RANGES[model.family]
-            grid = np.linspace(lo, hi, 25)
-        for q1 in grid:
-            diff = abs(scalar_curvature(model, q1) - brioschi_curvature(model, q1))
-            worst = max(worst, diff)
-    return worst
+    return max(
+        abs(scalar_curvature(model, q1) - brioschi_curvature(model, q1))
+        for model in _VERIFY_MODELS.values()
+        for q1 in _random_points(model, rng, 25).q1.tolist()
+    )
 
 
 def _check_embed_hyperboloid(rng):
@@ -304,9 +298,8 @@ def _check_turnings_vs_bisection(rng):
                 except ValueError:
                     continue
             if root is None:
-                # tangency (double root): bisect the derivative instead
-                h_d = 1e-6 * max(1.0, abs(t_pt))
-                df = lambda q: (f(q + h_d) - f(q - h_d)) / (2.0 * h_d)
+                # tangency (double root): bisect the complex-step derivative instead
+                df = lambda q: radial_momentum_sq(model, E, L, complex(q, COMPLEX_STEP)).imag / COMPLEX_STEP
                 lo_q = t_pt - 1e-3 * max(1.0, abs(t_pt))
                 hi_q = t_pt + 1e-3 * max(1.0, abs(t_pt))
                 if df(lo_q) * df(hi_q) < 0.0:
@@ -561,7 +554,7 @@ def _check_spectrum_vs_shooting(rng):
     # top levels reach E of 3 to 46, and two deep hplus wells, whose top
     # levels reach E of about 57.  A drawn hplus level is kept while
     # xi + 1/4 - 2 rho E >= 0.2: much closer to the edge its density decays
-    # too slowly for N = 271 or for chi = 200, and the solve raises
+    # too slowly for N = 401 or for chi = 200, and the solve raises
     # ConvergenceFailure
     cases = [case + (0.0,) for case in SPECTRUM_MODELS]
     for _ in range(2):
@@ -639,15 +632,45 @@ def _check_count_law(rng):
             " all per-m counts match")
 
 
-def _check_classical_correspondence(rng):
+def _check_ebk_vs_eigensolve(rng):
+    # EBK quantization through two numeric oracles: the energy where the
+    # quadrature's I_radial + L reaches J_tilde on the model at xi + xi_shift,
+    # L = J_tilde/2, against the eigensolve.  The closed-form E_plus only
+    # sets the bracket's lower end; the upper end moves halfway to the edge
+    # until the sign changes, and a trial where the quadrature raises has not
+    # changed it yet.  One solve per (model, m), highest n first, bypasses
+    # the level cache, whose entries depend on the highest level asked for
+    # before, so the row reads the same in every run
+    from scipy.optimize import brentq
+
     worst = 0.0
-    m0 = make_model("h0", 0.8, 1.1)
-    for lv in quantum_mod.spectrum(m0, 3, 3):
-        worst = max(worst, abs(lv.E - actions_mod.energy_from_J(m0, lv.J_tilde)))
-    mp = make_model("hplus", 2.0, 31.75)
-    shifted = make_model("hplus", 2.0, 31.75 + 0.25)
-    for lv in quantum_mod.spectrum(mp, 3, 3):
-        worst = max(worst, abs(lv.E - actions_mod.energy_from_J(shifted, lv.J_tilde)))
+    for fam, rho, xi in (("h0", 0.8, 1.1), ("h0", 0.339, 37.36), ("hplus", 2.0, 31.75), ("hplus", 0.5, 7.75)):
+        model = make_model(fam, rho, xi)
+        shifted = make_model(fam, rho, xi + FAMILY[fam].radial.xi_shift)
+        solved = {}
+        for lv in sorted(quantum_mod.spectrum(model, 3, 3), key=lambda lv: -lv.n):
+            if lv.m < 0:
+                continue
+            if lv.m not in solved:
+                solved[lv.m] = quantum_mod._solve_levels(model, lv.m, lv.n)
+            L = 0.5 * lv.J_tilde
+            e_plus, edge = _window(shifted, L)
+
+            def excess(E):
+                return actions_mod.action_quadrature(shifted, E, L) + L - lv.J_tilde
+
+            lo = hi = e_plus + 1e-9 * (edge - e_plus)
+            for _ in range(60):
+                hi = 0.5 * (hi + edge)
+                try:
+                    if excess(hi) > 0.0:
+                        break
+                except KoenigsError:
+                    pass
+            else:
+                raise AssertionError(f"{fam} J~={lv.J_tilde}: no sign change below the edge {edge:.10g}")
+            E = brentq(excess, lo, hi, xtol=1e-14)
+            worst = max(worst, abs(E - solved[lv.m][lv.n]))
     return worst
 
 
@@ -769,14 +792,14 @@ def _check_fig1_third_anchor(rng):
 
 CHECKS = (
     ("models.hamiltonian_from_metric", _check_hamiltonian_from_metric, 1e-12),
-    ("models.curvature_closed_vs_brioschi", _check_curvature_vs_brioschi, 1e-6),
+    ("models.curvature_closed_vs_brioschi", _check_curvature_vs_brioschi, 5e-12),
     ("models.embed_hyperboloid", _check_embed_hyperboloid, 1e-12),
     ("models.generator_algebra", _check_generator_algebra, 1e-12),
     ("models.hminus_curvature_blowup", _check_hminus_blowup, None),
     ("invariants.conservation_brackets", _check_conservation_brackets, 5e-12),
     ("invariants.algebra_identities", _check_algebra_identities, 1e-11),
     ("invariants.trig_eigen_structure", _check_trig_eigen, 5e-14),
-    ("geodesics.turnings_vs_bisection", _check_turnings_vs_bisection, 1e-10),
+    ("geodesics.turnings_vs_bisection", _check_turnings_vs_bisection, 1e-12),
     ("geodesics.flow_curve_residual", _check_flow_curve_residual, 1e-6),
     ("geodesics.eccentricity_windows", _check_eccentricity_windows, None),
     ("geodesics.trig_reflection_symmetry", _check_trig_reflection, 1e-6),
@@ -793,7 +816,7 @@ CHECKS = (
     ("quantum.spectrum_vs_shooting", _check_spectrum_vs_shooting, 4e-11),
     ("quantum.degeneracy_via_j_tilde", _check_degeneracy, 1e-12),
     ("quantum.hplus_count_law", _check_count_law, None),
-    ("quantum.classical_correspondence", _check_classical_correspondence, 1e-12),
+    ("quantum.ebk_vs_eigensolve", _check_ebk_vs_eigensolve, 1e-11),
     ("quantum.norms_finite", _check_norms_finite, 1e-6),
     ("specfun.off_diagonal_vanish", _check_off_diagonal, 1e-9),
     ("specfun.conjugation_symmetry", _check_conjugation, 1e-14),

@@ -102,13 +102,21 @@ def test_domain_error_is_usage_error(capsys):
     assert "rho" in err
 
 
-def test_bad_tol_is_usage_error(capsys):
+@pytest.mark.parametrize("tol", ["fast", "nan", "inf", "0", "-1"])
+def test_bad_tol_is_usage_error(capsys, tol):
     code, out, err = run_cli(
         capsys, "actions", "--family", "h0", "--rho", "0.8", "--xi", "1.1",
-        "--E", "0.5", "--L", "0.5", "--tol", "fast",
+        "--E", "0.5", "--L", "0.5", "--tol", tol,
     )
     assert code == 2
     assert "--tol" in err
+
+
+def test_negative_seed_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "specfun", "--seed", "-3")
+    assert code == 2
+    assert "--seed" in err
+    assert out == ""
 
 
 def test_actions_csv_row(capsys):

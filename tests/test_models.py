@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from koenigs.errors import ChartError, ConstantCurvature, DomainError, NoGlobalStructure
+from koenigs.errors import (
+    ChartError,
+    ConstantCurvature,
+    ConvergenceFailure,
+    DomainError,
+    NoGlobalStructure,
+)
 from koenigs.models import (
     FAMILIES,
     FAMILY,
@@ -139,8 +145,31 @@ def test_curvature_against_brioschi_oracle():
         model = make_model(family, 0.7 if family != "hplus" else 1.8, 1.2)
         for q1 in grid:
             assert scalar_curvature(model, q1) == pytest.approx(
-                brioschi_curvature(model, q1), abs=1e-6
+                brioschi_curvature(model, q1), abs=1e-12
             )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_curvature_oracle_near_each_chart_edge(family):
+    # the circles shrink with the chart margin; a five-point stencil read
+    # 2.1e-2 relative off here
+    model = _VERIFY_MODELS[family]
+    lo, hi = FAMILY[family].chart(model.rho)
+    for q1 in [lo + 1e-3] + ([hi - 1e-3] if hi < math.inf else []):
+        assert brioschi_curvature(model, q1) == pytest.approx(scalar_curvature(model, q1), rel=1e-8)
+
+
+def test_curvature_oracle_refuses_outside_the_chart_and_past_overflow():
+    with pytest.raises(ChartError):
+        brioschi_curvature(_VERIFY_MODELS["trig"], -0.1)
+    # hplus: G'^2 overflows past chi of about 170; the oracle raises there
+    # and never hands back inf or NaN
+    model = _VERIFY_MODELS["hplus"]
+    for chi in (100.0, 170.0):
+        assert brioschi_curvature(model, chi) == pytest.approx(scalar_curvature(model, chi), abs=1e-12)
+    for chi in (180.0, 300.0):
+        with pytest.raises(ConvergenceFailure):
+            brioschi_curvature(model, chi)
 
 
 def test_curvature_not_constant():

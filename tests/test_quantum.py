@@ -223,6 +223,16 @@ def test_near_edge_levels_are_right_or_refused(rho, xi, ms):
                 assert quantum._xi_eff(model) - 2.0 * rho * exact[n] < 0.1, (m, n)
 
 
+@pytest.mark.parametrize("rho, xi, m", [(1.387, 37.148, 0), (0.309, 38.66, 6)])
+def test_near_edge_top_level_settles_at_n_401(rho, xi, m):
+    # level k = 2 is the top one, xi + 1/4 - 2 rho E below 0.065: N 181 and
+    # 271 disagree by 2.4e-10 and 5.2e-10 relative, N 271 and 401 settle
+    model = make_model("hplus", rho, xi)
+    exact = _closed_levels(model, m)
+    assert len(exact) == 3
+    assert abs(shoot_eigenvalue(model, m, 2) - exact[2]) < 4e-11
+
+
 def test_count_bound_levels_matches_window():
     model = make_model("hplus", 0.5, 7.75)
     j_max = math.sqrt(8.0 / 0.5)  # = 4

@@ -45,7 +45,7 @@ def test_registry_names_pinned():
         "quantum.spectrum_vs_shooting",
         "quantum.degeneracy_via_j_tilde",
         "quantum.hplus_count_law",
-        "quantum.classical_correspondence",
+        "quantum.ebk_vs_eigensolve",
         "quantum.norms_finite",
         "specfun.off_diagonal_vanish",
         "specfun.conjugation_symmetry",
@@ -110,3 +110,31 @@ def test_degenerate_frequency_reads_the_quadrature(monkeypatch):
     monkeypatch.setattr(verify.actions_mod, "action_quadrature",
                         lambda model, E, L: quad(model, E, L) * (1.0 + 1e-8 * L))
     assert check(None) > 1e-10
+
+
+def _row(name):
+    return {n: check for n, check, _ in CHECKS}[name]
+
+
+def test_curvature_row_catches_a_1e9_relative_error(monkeypatch):
+    closed = verify.scalar_curvature
+    monkeypatch.setattr(verify, "scalar_curvature", lambda model, q1: closed(model, q1) * (1.0 + 1e-9))
+    result = {r.name: r for r in run_suite("models")}["models.curvature_closed_vs_brioschi"]
+    assert result.status == "FAIL", result.detail
+
+
+def test_tangent_turning_points_located_by_the_complex_step(monkeypatch):
+    # both are double roots of p1^2, located by bisecting its derivative
+    tangent = tuple(case for case in verify.REGIME_CASES if case[5] in ("e0_wall", "epos_sep"))
+    assert len(tangent) == 2
+    monkeypatch.setattr(verify, "REGIME_CASES", tangent)
+    assert _row("geodesics.turnings_vs_bisection")(None) <= 1e-14
+
+
+def test_ebk_row_reads_the_quadrature(monkeypatch):
+    check = _row("quantum.ebk_vs_eigensolve")
+    assert check(None) < 1e-12
+    quad = verify.actions_mod.action_quadrature
+    monkeypatch.setattr(verify.actions_mod, "action_quadrature",
+                        lambda model, E, L: quad(model, E, L) * (1.0 + 1e-9))
+    assert check(None) > 1e-11
