@@ -5,12 +5,11 @@ raise NotClosedRegime.  The closed forms are the family's `models.Radial`
 row: J = J(E) with I_radial = J - L and I_angle = L, and energy_from_J is
 its inverse E(J) on the window 0 < J, kappa rho J^2 < xi; no family is
 named here.  They are cross-checked by a direct phase-space quadrature that
-knows nothing about them.  Its adaptive route is scipy.integrate.quad,
-which is imported at the first call that reaches it; the closed forms need
-the math module only.
+knows nothing about them: the trapezoid rule in a log variable under a
+cosine map, doubled from N = 64 to 512 until two sizes agree.  Neither
+needs scipy.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +18,10 @@ import numpy as np
 from .errors import DomainError, NotClosedRegime, NoMotion, QuadratureFailure
 from .geodesics import classify, radial_momentum_sq
 from .models import FAMILY
+
+# trapezoid sizes of `action_quadrature`; it returns where two agree to _SETTLE max(1, |I|)
+_LADDER = (64, 128, 256, 512)
+_SETTLE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,71 +56,40 @@ def action_variables(model, E, L):
     return ActionVars(I_angle=L, I_radial=I_r, J=J)
 
 
-@functools.cache
-def _legendre_rule():
-    """Read-only (nodes, weights) of the 160-point Gauss-Legendre rule."""
-    nodes, weights = np.polynomial.legendre.leggauss(160)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
 def action_quadrature(model, E, L):
-    """I_radial by numeric quadrature of (1/2pi) times the loop integral of p1 dq1.
+    """I_radial, 1/pi times the loop integral of p1 dq1, by the trapezoid rule.
 
-    Primary route: substitute u (= r^2 or tanh(chi)^2) and then a cosine
-    change of variable that absorbs both square-root turning points, leaving
-    a smooth integrand for fixed-order Gauss-Legendre.  A raw adaptive
-    quadrature of |p1| dq1 between the turning radii serves as an
-    independent check; disagreement raises QuadratureFailure.
+    The variable is s = log q1 = mid - half cos(phi) between the log turning
+    points: in s the centrifugal L^2/q1^2 is entire, and the cosine map
+    absorbs both square-root ends, so |p1| q1 ds is a smooth, even, periodic
+    function of phi and the trapezoid rule converges geometrically
+    (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).  p1^2 is
+    `radial_momentum_sq` at the nodes, so neither sigma nor a closed form
+    enters.  The rule runs at N = 64, 128, 256, 512 and returns at the first
+    N that agrees with the one before to 1e-10 max(1, |I|); otherwise
+    QuadratureFailure names both sizes and both values.  It needs numpy only.
     """
     regime = _require_closed(model, E, L)
     if len(regime.turning_points) < 2:
         return 0.0  # circular: turning points coincide
-    q_lo, q_hi = regime.turning_points
-    radial = FAMILY[model.family].radial
-    u_lo, u_hi = radial.u(q_lo), radial.u(q_hi)
-    mid, half = 0.5 * (u_hi + u_lo), 0.5 * (u_hi - u_lo)
-    if half <= 0.0:
-        return 0.0
-
-    # p1^2 u = -sigma (u_hi - u)(u - u_lo), and du/dq1 = 2 sqrt(u) (1 - kappa u), so
-    # I = (1/pi) * integral of sqrt(-sigma (u_hi - u)(u - u_lo)) / (2 u (1 - kappa u)) du.
-    # The 1/pi (not 1/2pi) keeps I_radial + I_angle equal to the J that
-    # linearizes the energy.
-    nodes, weights = _legendre_rule()
-    u = mid - half * np.cos(0.5 * math.pi * (nodes + 1.0))
-    s2 = np.sin(0.5 * math.pi * (nodes + 1.0)) ** 2
-    amp = math.sqrt(-regime.params["sigma"]) * half**2 / 2.0
-    vals = s2 / (u * (1.0 - radial.kappa * u))
-    primary = amp * float(np.dot(weights, vals))
-    if half <= 1e-6 * max(1.0, abs(mid)):
-        # turning interval collapsed to roundoff width; the loop integral
-        # is below 1e-12 and the adaptive check would only divide 0 by 0
-        return primary
-
-    # raw oracle straight in the chart coordinate, with the sqrt turning-point
-    # behavior handed to the quadrature as an algebraic endpoint weight
-    def smooth_part(q1):
-        # continuous up to the turning points; step inside by a sliver so the
-        # 0/0 limit is never formed literally
-        eps = 1e-9 * (q_hi - q_lo)
-        q1 = min(max(q1, q_lo + eps), q_hi - eps)
-        p1_sq = radial_momentum_sq(model, E, L, q1)
-        return math.sqrt(max(p1_sq, 0.0) / ((q1 - q_lo) * (q_hi - q1))) * 2.0 / math.pi
-
-    from scipy.integrate import quad
-
-    raw, err = quad(smooth_part, q_lo, q_hi, weight="alg", wvar=(0.5, 0.5), limit=400)
-    # the reported bound is conservative near the window edge; the binding
-    # cross-check is the route agreement below
-    if err > 1e-6 * max(1.0, abs(raw)):
-        raise QuadratureFailure(f"adaptive check only reached abserr={err:g}")
-    if abs(primary - raw) > 1e-7 * max(1.0, abs(primary)):
-        raise QuadratureFailure(
-            f"quadrature routes disagree: smooth={primary!r}, adaptive={raw!r}"
-        )
-    return primary
+    s_lo, s_hi = (math.log(q) for q in regime.turning_points)
+    mid, half = 0.5 * (s_hi + s_lo), 0.5 * (s_hi - s_lo)
+    value = math.nan  # compares false: the first size only sets `previous`
+    for N in _LADDER:
+        previous = value
+        phi = np.arange(1, N) * (math.pi / N)
+        q1 = np.exp(mid - half * np.cos(phi))
+        p1 = np.sqrt(np.maximum(radial_momentum_sq(model, E, L, q1), 0.0))
+        # the loop is twice the q_lo..q_hi integral, dq1 = q1 half sin(phi) dphi;
+        # 1/pi (not 1/2pi) keeps I_radial + I_angle equal to the J that
+        # linearizes the energy
+        value = 2.0 * half / N * float(np.dot(p1, q1 * np.sin(phi)))
+        if abs(value - previous) <= _SETTLE * max(1.0, abs(value)):
+            return value
+    raise QuadratureFailure(
+        f"trapezoid rule unsettled: N {_LADDER[-2]} gives {previous!r}, N {_LADDER[-1]} "
+        f"gives {value!r} (tolerance {_SETTLE:g} max(1, |I|))"
+    )
 
 
 def energy_from_J(model, J):

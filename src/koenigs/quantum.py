@@ -283,6 +283,10 @@ def _collocation_levels(model, m, coarse):
         return levels, (f"collocation N {_LADDER[-2]} and {_LADDER[-1]} disagree by "
                         f"{off:.3g} relative (tolerance {_SETTLE:g})")
     gaps = np.diff(coarse)
+    if not gaps.all():
+        j = int(np.argmin(gaps))
+        return levels, (f"search levels {j} and {j + 1} coincide at {float(coarse[j])!r} and "
+                        f"{float(coarse[j + 1])!r}, so level {j}'s index cannot be certified")
     half = 0.5 * np.minimum(gaps, np.concatenate(([np.inf], gaps[:-1])))
     miss = np.abs(levels - coarse[:-1])
     j = int(np.argmax(miss / half))

@@ -518,8 +518,20 @@ def _check_degenerate_frequency(rng):
 
 
 def _check_actions_quadrature(rng):
+    # the fixed window sweep, then 10 seeded draws per model: L log-uniform
+    # from 1e-3, E a log-uniform fraction 1e-4 to 0.5 of the window from
+    # either end, where a near-end pole or an ill-conditioned I(E) shows
+    cases = list(_window_sweep())
+    for fam, rho, xi, L_top in (("h0", 0.8, 1.1, 1.0), ("hplus", 2.0, 8.0, 1.5)):
+        model = make_model(fam, rho, xi)
+        for _ in range(10):
+            L = math.exp(rng.uniform(math.log(1e-3), math.log(L_top)))
+            eps = math.exp(rng.uniform(math.log(1e-4), math.log(0.5)))
+            e_lo, edge = _window(model, L)
+            E = edge - eps * (edge - e_lo) if rng.integers(2) else e_lo + eps * (edge - e_lo)
+            cases.append((model, E, L))
     worst = 0.0
-    for model, E, L in _window_sweep():
+    for model, E, L in cases:
         closed = actions_mod.action_variables(model, E, L).I_radial
         quadr = actions_mod.action_quadrature(model, E, L)
         worst = max(worst, abs(closed - quadr) / max(1e-12, abs(closed)))
@@ -533,10 +545,21 @@ def _check_energy_roundtrip(rng):
     )
 
 
-def _check_hplus_endpoint(rng):
-    model = make_model("hplus", 2.0, 8.0)
-    e_plus, _ = _window(model, 1.0)
-    return abs(actions_mod.action_quadrature(model, e_plus, 1.0))
+def _check_circular_limit(rng):
+    # I_radial vanishes linearly at the circular orbit: the slope I_r / eps
+    # at E = E_plus + eps (edge - E_plus) changes by less than eps, relative,
+    # from eps to eps/10
+    laws = []
+    for fam, rho, xi, L in (("h0", 0.8, 1.1, 0.5), ("hplus", 2.0, 8.0, 1.0)):
+        model = make_model(fam, rho, xi)
+        e_plus, edge = _window(model, L)
+        eps = (1e-3, 1e-4, 1e-5, 1e-6)
+        slopes = [actions_mod.action_quadrature(model, e_plus + e * (edge - e_plus), L) / e for e in eps]
+        change = max(abs(a - b) / (abs(b) * e) for e, a, b in zip(eps, slopes, slopes[1:]))
+        if not change < 1.0:
+            raise AssertionError(f"{fam}: slope I_r/eps {slopes} changes by {change:.3g} eps")
+        laws.append(f"{fam} {change:.2f} eps")
+    return "slope I_r/eps settles linearly: " + ", ".join(laws)
 
 
 # -- quantum ------------------------------------------------------------------
@@ -547,6 +570,20 @@ def _check_hplus_endpoint(rng):
 SPECTRUM_MODELS = tuple(
     ("h0", rho, xi, 3, 3) for rho in (0.5, 1.0, 2.0) for xi in (1.0, 3.0)
 ) + (("hplus", 0.5, 7.75, 3, 3), ("hplus", 2.0, 31.75, 3, 3), ("h0", 0.339, 37.36, 4, 4))
+
+
+def _eigensolve(model, levels):
+    """{m: eigensolve levels 0..n} for each m >= 0 in `levels`, n the highest n of that m.
+
+    One `quantum._solve_levels` call per (model, m) bypasses the level cache,
+    whose entries depend on the highest level asked for before, so a row
+    reads the same whatever ran earlier in the process.
+    """
+    top = {}
+    for lv in levels:
+        if lv.m >= 0:
+            top[lv.m] = max(top.get(lv.m, 0), lv.n)
+    return {m: quantum_mod._solve_levels(model, m, n) for m, n in top.items()}
 
 
 def _check_spectrum_vs_shooting(rng):
@@ -565,26 +602,26 @@ def _check_spectrum_vs_shooting(rng):
     for fam, rho, xi, n_max, m_max, gap in cases:
         model = make_model(fam, rho, xi)
         xe = xi + FAMILY[fam].radial.xi_shift
-        # highest n first: one solve per (model, |m|) returns every lower level
-        for lv in sorted(quantum_mod.spectrum(model, n_max, m_max), key=lambda lv: -lv.n):
-            if lv.m < 0 or xe - 2.0 * rho * lv.E < gap:
-                continue
-            diff = abs(quantum_mod.shoot_eigenvalue(model, lv.m, lv.n) - lv.E)
-            worst = max(worst, diff)
+        levels = [lv for lv in quantum_mod.spectrum(model, n_max, m_max)
+                  if lv.m >= 0 and xe - 2.0 * rho * lv.E >= gap]
+        solved = _eigensolve(model, levels)
+        worst = max(worst, *(abs(solved[lv.m][lv.n] - lv.E) for lv in levels))
     return worst
 
 
 def _check_degeneracy(rng):
     # spread of the eigensolve's levels within each J_tilde multiplet, n <= 4
     # and 0 <= m <= 4; the closed form names the levels, the eigensolve
-    # gives their energies, highest n first: one solve per (model, m)
+    # gives their energies
     worst = 0.0
     for fam, rho, xi in (("h0", 0.8, 1.1), ("hplus", 2.0, 31.75)):
         model = make_model(fam, rho, xi)
+        levels = quantum_mod.spectrum(model, 4, 4)
+        solved = _eigensolve(model, levels)
         by_j = {}
-        for lv in sorted(quantum_mod.spectrum(model, 4, 4), key=lambda lv: -lv.n):
+        for lv in levels:
             if lv.m >= 0:
-                by_j.setdefault(lv.J_tilde, []).append(quantum_mod.shoot_eigenvalue(model, lv.m, lv.n))
+                by_j.setdefault(lv.J_tilde, []).append(solved[lv.m][lv.n])
         worst = max(worst, *(max(es) - min(es) for es in by_j.values()))
     return worst
 
@@ -638,21 +675,18 @@ def _check_ebk_vs_eigensolve(rng):
     # L = J_tilde/2, against the eigensolve.  The closed-form E_plus only
     # sets the bracket's lower end; the upper end moves halfway to the edge
     # until the sign changes, and a trial where the quadrature raises has not
-    # changed it yet.  One solve per (model, m), highest n first, bypasses
-    # the level cache, whose entries depend on the highest level asked for
-    # before, so the row reads the same in every run
+    # changed it yet
     from scipy.optimize import brentq
 
     worst = 0.0
     for fam, rho, xi in (("h0", 0.8, 1.1), ("h0", 0.339, 37.36), ("hplus", 2.0, 31.75), ("hplus", 0.5, 7.75)):
         model = make_model(fam, rho, xi)
         shifted = make_model(fam, rho, xi + FAMILY[fam].radial.xi_shift)
-        solved = {}
-        for lv in sorted(quantum_mod.spectrum(model, 3, 3), key=lambda lv: -lv.n):
+        levels = quantum_mod.spectrum(model, 3, 3)
+        solved = _eigensolve(model, levels)
+        for lv in levels:
             if lv.m < 0:
                 continue
-            if lv.m not in solved:
-                solved[lv.m] = quantum_mod._solve_levels(model, lv.m, lv.n)
             L = 0.5 * lv.J_tilde
             e_plus, edge = _window(shifted, L)
 
@@ -810,9 +844,9 @@ CHECKS = (
     ("flow.curve_residual_two_sided", _check_two_sided_residual, 1e-6),
     ("flow.turning_reflection", _check_turning_reflection, 1e-7),
     ("actions.degenerate_frequency", _check_degenerate_frequency, 1e-10),
-    ("actions.quadrature_vs_closed", _check_actions_quadrature, 1e-8),
+    ("actions.quadrature_vs_closed", _check_actions_quadrature, 5e-11),
     ("actions.energy_roundtrip", _check_energy_roundtrip, 1e-10),
-    ("actions.hplus_endpoint_zero", _check_hplus_endpoint, 1e-8),
+    ("actions.circular_limit_linear", _check_circular_limit, None),
     ("quantum.spectrum_vs_shooting", _check_spectrum_vs_shooting, 4e-11),
     ("quantum.degeneracy_via_j_tilde", _check_degeneracy, 1e-12),
     ("quantum.hplus_count_law", _check_count_law, None),

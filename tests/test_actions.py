@@ -1,11 +1,13 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from koenigs import actions
 from koenigs.actions import action_quadrature, action_variables, energy_from_J
-from koenigs.errors import DomainError, NotClosedRegime
+from koenigs.errors import DomainError, NotClosedRegime, QuadratureFailure
 from koenigs.models import make_model
 
 
@@ -26,7 +28,7 @@ def test_h0_closed_form_matches_quadrature(h0_model):
     for E in np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 8):
         av = action_variables(h0_model, float(E), L)
         quad_val = action_quadrature(h0_model, float(E), L)
-        assert av.I_radial == pytest.approx(quad_val, rel=1e-8, abs=1e-12)
+        assert av.I_radial == pytest.approx(quad_val, rel=1e-12, abs=1e-12)
         assert av.I_angle == L
         assert av.J == pytest.approx(av.I_radial + av.I_angle, rel=1e-14)
 
@@ -37,19 +39,41 @@ def test_hplus_closed_form_matches_quadrature(hplus_model):
     for E in np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 8):
         av = action_variables(hplus_model, float(E), L)
         quad_val = action_quadrature(hplus_model, float(E), L)
-        assert av.I_radial == pytest.approx(quad_val, rel=1e-8, abs=1e-12)
+        assert av.I_radial == pytest.approx(quad_val, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the 160-node Gauss-Legendre route loses the near-singular 1/u factor at small L "
-    "(off by 3.0e-7 on h0 and 5.3e-7 on hplus at L = 1e-3), so the routes disagree "
-    "and QuadratureFailure is raised; the adaptive route matches the closed form"
-))
 @pytest.mark.parametrize("family,rho,xi,E", [("h0", 0.8, 1.1, 0.6), ("hplus", 2.0, 8.0, 1.9)])
 def test_action_quadrature_small_angular_momentum(family, rho, xi, E):
+    # in log q1 the centrifugal pole near the inner turning point is gone
     model = make_model(family, rho, xi)
     closed = action_variables(model, E, 1e-3).I_radial
-    assert action_quadrature(model, E, 1e-3) == pytest.approx(closed, rel=1e-8)
+    assert action_quadrature(model, E, 1e-3) == pytest.approx(closed, rel=1e-12)
+
+
+def test_action_quadrature_at_the_h0_window_top(h0_model):
+    # I(E) has condition number about 1e5 here, so a rounding of E alone
+    # moves it by about 1e-11 relative
+    L = 0.5
+    e_plus, edge = _h0_window(h0_model, L)
+    E = edge - 1e-5 * (edge - e_plus)
+    closed = action_variables(h0_model, E, L).I_radial
+    assert action_quadrature(h0_model, E, L) == pytest.approx(closed, rel=1e-10)
+
+
+@pytest.mark.parametrize("family,rho,xi,E,L", [("h0", 0.8, 1.1, 0.5, 0.5), ("hplus", 2.0, 8.0, 1.9, 1.0)])
+def test_action_quadrature_refuses_a_moved_turning_point(monkeypatch, family, rho, xi, E, L):
+    # an outer turning point 1e-6 too far out leaves a sqrt kink inside the
+    # interval, and the trapezoid ladder does not settle
+    classify = actions.classify
+
+    def moved(model, E, L):
+        regime = classify(model, E, L)
+        q_lo, q_hi = regime.turning_points
+        return dataclasses.replace(regime, turning_points=(q_lo, q_hi * (1.0 + 1e-6)))
+
+    monkeypatch.setattr(actions, "classify", moved)
+    with pytest.raises(QuadratureFailure, match="N 256 .* N 512"):
+        action_quadrature(make_model(family, rho, xi), E, L)
 
 
 def test_action_depends_only_on_J(h0_model, hplus_model):

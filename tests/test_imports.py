@@ -42,6 +42,7 @@ from koenigs.cli import main
 model = koenigs.make_model("h0", 0.8, 1.1)
 koenigs.classify(model, 0.5, 0.5)
 koenigs.action_variables(model, 0.5, 0.5)
+koenigs.action_quadrature(model, 0.5, 0.5)
 koenigs.spectrum(koenigs.make_model("hplus", 0.5, 7.75), 2, 2)
 z = koenigs.PhasePoint(np.linspace(0.5, 1.5, 5), np.zeros(5), np.ones(5), np.ones(5))
 koenigs.poisson_bracket(lambda p: koenigs.hamiltonian(model, p),

@@ -180,6 +180,15 @@ def test_unsettled_ladder_names_the_sizes_and_their_disagreement(monkeypatch):
         quantum._solve_levels(make_model("h0", 1.0, 8.0), 0, 3)
 
 
+def test_coinciding_search_levels_are_refused():
+    # levels 19 and 20 of the 0.056 search grid bisect to one value near the
+    # h0 edge; their half-gap is 0, so no index can be certified
+    model = make_model("h0", 2.3840313684153718, 1.2437234854131844)
+    coincide = r"level k=20, m=2: search levels 19 and 20 coincide at ([0-9.]+) and \1, so level 19"
+    with pytest.raises(ConvergenceFailure, match=coincide):
+        quantum._solve_levels(model, 2, 20)
+
+
 def _spectrum_gate():
     from koenigs.verify import CHECKS
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
-from koenigs.actions import _legendre_rule
 from koenigs.errors import DomainError
 from koenigs.specfun import (
     _cartesian_mode,
@@ -128,12 +127,10 @@ def test_generating_identity_spot():
 
 def test_laguerre_rule_cache_is_read_only_and_bounded():
     nodes, weights = _laguerre_rule(48)
-    for arr in (nodes, weights) + _legendre_rule():
+    for arr in (nodes, weights):
         with pytest.raises(ValueError):
             arr[0] = 1.0
     assert _laguerre_rule.cache_info().maxsize is not None
-    # the action quadrature's rule takes no argument: one entry at most
-    assert _legendre_rule() is _legendre_rule()
 
 
 def test_oracle_same_with_cold_and_warm_rule():

@@ -4,9 +4,16 @@
 third turning-point anchor, which must stay an expected failure.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from koenigs import verify
+from koenigs import quantum, verify
+from koenigs.models import make_model
 from koenigs.verify import CHECKS, run_suite
 
 ANCHOR = "acceptance.fig1_third_anchor"
@@ -41,7 +48,7 @@ def test_registry_names_pinned():
         "actions.degenerate_frequency",
         "actions.quadrature_vs_closed",
         "actions.energy_roundtrip",
-        "actions.hplus_endpoint_zero",
+        "actions.circular_limit_linear",
         "quantum.spectrum_vs_shooting",
         "quantum.degeneracy_via_j_tilde",
         "quantum.hplus_count_law",
@@ -138,3 +145,19 @@ def test_ebk_row_reads_the_quadrature(monkeypatch):
     monkeypatch.setattr(verify.actions_mod, "action_quadrature",
                         lambda model, E, L: quad(model, E, L) * (1.0 + 1e-9))
     assert check(None) > 1e-11
+
+
+def test_quantum_rows_do_not_read_the_level_cache(monkeypatch):
+    # a (model, m) cached from a higher-k solve holds levels about 1e-13 off
+    # a fresh lower-k solve; the rows solve afresh, so they read the same
+    # after such a warm-up as in a fresh process
+    code = ("import json\nfrom koenigs.verify import run_suite\n"
+            "print(json.dumps([r.value for r in run_suite('quantum')]))")
+    src = str(Path(verify.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    fresh = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True, env=env)
+    monkeypatch.setattr(quantum, "_LEVELS", {})
+    model = make_model("h0", 0.339, 37.36)
+    for m in range(4):
+        quantum.shoot_eigenvalue(model, m, 5)
+    assert [r.value for r in run_suite("quantum")] == json.loads(fresh.stdout)
