@@ -409,13 +409,16 @@ def closure_test(model, E, L, tol=1e-5):
     periods is integrated once.  The closure gap compares the launch state
     with the end state in embedding coordinates plus momenta, so angle
     wrapping cannot fake a gap.  `nfev` counts the right-hand side
-    evaluations of all runs.  Raises NotBounded on open regimes.
+    evaluations of all runs.  Raises NotBounded on open regimes, and
+    ChartError when the perihelion lies on the axis (L so small that the
+    inner turning point underflows to 0), before `kernel` divides by it.
     """
     regime = classify(model, E, L)
     if not regime.closed:
         raise NotBounded(f"regime {regime.tag} (e={regime.eccentricity}) is not bounded")
     itol = max(1e-13, min(1e-11, tol * 1e-6))
     r0 = regime.turning_points[0]
+    check_chart(model, r0)
     b0 = kernel(model, r0)[1]
     t_ang = 2.0 * math.pi / (b0 * L)
     launch = (r0, 0.0, 0.0, L)

@@ -18,7 +18,13 @@ through `kernel`: no difference cancels, so it is exact to rounding, and
 the real point never moves.  One pass over a tuple-valued function makes
 four calls, one per coordinate, and gives the gradient of every entry, so
 the brackets among a set of functions at a point set share one pass.  A
-scalar point stays a Python scalar, so `kernel` takes its cmath path.  A
+scalar point stays Python numbers from end to end: `kernel` and the
+integral formulas share one namespace rule (`models._ns`), so the shifted
+coordinate runs on cmath and the others on math, and every value,
+gradient and residual comes back a Python float.  Where numpy would return
+inf or NaN with a warning, such a point raises (ZeroDivisionError on the
+h0 and hplus axis and at the hminus edge, OverflowError on hplus past chi
+of about 355); points inside the chart away from those never meet it.  A
 point array runs in stretches of 4096 points, and `poisson_bracket` forms
 the bracket of each stretch before the next, so no temporary outgrows a
 stretch; full-size ones (320 KB of complex values at 20000 points) fault in
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import COMPLEX_STEP, FAMILY, PhasePoint, check_chart, hamiltonian
+from .models import COMPLEX_STEP, FAMILY, PhasePoint, _ns, check_chart, hamiltonian
 
 # points per stretch: a complex temporary of a stretch is 64 KB, under
 # glibc's default 128 KB mmap threshold; 2048 points fault less but run
@@ -95,7 +101,7 @@ def _stretchwise(work, point, model):
     against the chart by `check_chart` first.
     """
     z = (point.q1, point.q2, point.p1, point.p2)
-    scalar = all(np.ndim(v) == 0 for v in z)
+    scalar = all(type(v) is float for v in z) or all(np.ndim(v) == 0 for v in z)
     if model is not None:
         for q1 in (z[0],) if scalar else (np.min(z[0]), np.max(z[0])):
             check_chart(model, q1)
@@ -123,8 +129,10 @@ def _stretch_gradients(func, z, h):
     NaN in all four derivatives there.  Returned flat: the four derivatives
     of the first entry, then those of the next.
     """
-    calls = [func(PhasePoint(*(v + 1j * h if i == k else v for i, v in enumerate(z))))
-             for k in range(4)]
+    q1, q2, p1, p2 = z
+    step = 1j * h
+    calls = (func(PhasePoint(q1 + step, q2, p1, p2)), func(PhasePoint(q1, q2 + step, p1, p2)),
+             func(PhasePoint(q1, q2, p1 + step, p2)), func(PhasePoint(q1, q2, p1, p2 + step)))
     grads = []
     for values in zip(*calls):
         nan = 0.0 * values[0].real
@@ -172,10 +180,20 @@ def poisson_bracket(f, g, point, h=COMPLEX_STEP, model=None):
 
 
 def _rel(residual, *terms):
+    """|residual| / max(1, |terms|), elementwise; NaN wherever an argument is NaN.
+
+    A Python-float residual is formed with builtins and stays a Python float.
+    """
     scale = 1.0
+    if type(residual) is not float:
+        for t in terms:
+            scale = np.maximum(scale, np.abs(t))
+        return np.abs(residual) / scale
     for t in terms:
-        scale = np.maximum(scale, np.abs(t))
-    return np.abs(residual) / scale
+        t = abs(t)
+        if scale == scale and not t <= scale:  # a NaN term sticks, as in np.maximum
+            scale = t
+    return abs(residual) / scale
 
 
 def algebra_residuals(model, point):
@@ -203,21 +221,22 @@ def algebra_residuals(model, point):
         "dH_S2": _rel(pb_rev(dH, dS2), E, s2),
     }
     rho, xi = model.rho, model.xi
+    q1, q2 = point.q1, point.q2
+    x, y = _ns(q1), _ns(q2)
     if fam == "trig":
         # eigen relations of Q -> {P_y, Q} and the cosh/sinh recombination
         out["eigen_plus"] = _rel(_bracket(dS1, dL) - s1, s1)
         out["eigen_minus"] = _rel(_bracket(dS2, dL) + s2, s2)
-        x, y = point.q1, point.q2
-        lhs = 0.5 * (s1 + s2) * np.cosh(y) - 0.5 * (s1 - s2) * np.sinh(y)
-        rhs = L**2 * np.cos(x) - rho * E
+        lhs = 0.5 * (s1 + s2) * y.cosh(q2) - 0.5 * (s1 - s2) * y.sinh(q2)
+        rhs = L**2 * x.cos(q1) - rho * E
         out["recombination"] = _rel(lhs - rhs, lhs, rhs)
     elif fam == "h0":
-        lhs = s1 * np.sin(2 * point.q2) + s2 * np.cos(2 * point.q2)
-        rhs = E - L**2 / point.q1**2
+        lhs = s1 * y.sin(2 * q2) + s2 * y.cos(2 * q2)
+        rhs = E - L**2 / q1**2
         out["recombination"] = _rel(lhs - rhs, lhs, rhs)
     elif fam == "hplus":
-        D = (1.0 + np.cosh(point.q1) ** 2) / (2.0 * np.sinh(point.q1) ** 2)
-        lhs = s1 * np.sin(2 * point.q2) + s2 * np.cos(2 * point.q2)
+        D = (1.0 + x.cosh(q1) ** 2) / (2.0 * x.sinh(q1) ** 2)
+        lhs = s1 * y.sin(2 * q2) + s2 * y.cos(2 * q2)
         rhs = E - D * L**2
         out["recombination"] = _rel(lhs - rhs, lhs, rhs)
     elif fam == "hminus":

@@ -22,7 +22,12 @@ and `generators`.
 
 Every Hamiltonian has the shape H = (a(q1) p1^2 + b(q1) p2^2 + c(q1)) / 2,
 so the metric is diag(1/a, 1/b) and the potential is c/2.  All coordinate
-functions below accept scalars or numpy arrays.  `kernel` must stay
+functions below accept scalars or numpy arrays.  `kernel` and the integral
+formulas pick their namespace by one rule (`_ns`): a Python float or
+complex gives Python numbers through math or cmath, anything else numpy.
+So a Python-float q1 on a singular point raises where numpy returns inf or
+NaN with a warning: ZeroDivisionError at q1 = 0 on h0 and hplus and at the
+hminus edge, OverflowError on hplus past chi of about 355.  `kernel` must stay
 analytic in q1 (the flow and the eigensolve differentiate it by complex
 step, the curvature oracle by Cauchy integrals) and, on hplus, finite out
 to chi = 300 (where the eigensolve's collocation reads its last
@@ -149,9 +154,11 @@ _SCALAR_NS = {complex: cmath, float: math}
 def _ns(x):
     """cmath for a Python complex, math for a Python float, numpy otherwise.
 
-    A scalar point's values stay Python numbers: a numpy float64 times a
-    Python complex takes about 20 times as long as a Python float times one.
-    Like cmath for the complex step, math raises where numpy would return
+    The one namespace rule of `kernel` and the integral formulas.  A scalar
+    point's values stay Python numbers: a numpy float64 times a Python
+    complex takes about 20 times as long as a Python float times one.  A
+    numpy scalar keeps numpy.  Like cmath for the complex step, math raises
+    (ZeroDivisionError, OverflowError, ValueError) where numpy would return
     inf or NaN with a warning.
     """
     return _SCALAR_NS.get(type(x), np)
@@ -310,14 +317,18 @@ def make_point(model, q1, q2, p1, p2):
 def kernel(model, q1):
     """Coefficients (a, b, c) with H = (a p1^2 + b p2^2 + c)/2.
 
-    One formula per family, held by its `FAMILY` row, serves both
-    namespaces: cmath for a Python complex (the flow's complex step), numpy
-    for everything else (floats, arrays, numpy complex).  So each formula
-    stays analytic in q1 and uses only functions that numpy and cmath both
-    provide.
+    One formula per family, held by its `FAMILY` row, serves all three
+    namespaces of `_ns`: cmath for a Python complex (the complex steps of
+    the flow and the brackets), math for a Python float, numpy for
+    everything else (arrays, numpy scalars).  So each formula stays
+    analytic in q1 and uses only functions that numpy, math and cmath all
+    provide, and a scalar q1 gives Python numbers.  On a Python float or
+    complex the formula raises where numpy would return inf or NaN with a
+    warning: ZeroDivisionError on the h0 and hplus axis q1 = 0 and at the
+    hminus edge sinh q1 + rho = 0, OverflowError on hplus past chi of
+    about 355, where sinh^2 leaves the float range.
     """
-    xp = cmath if type(q1) is complex else np
-    return FAMILY[model.family].kernel(model.rho, model.xi, q1, xp)
+    return FAMILY[model.family].kernel(model.rho, model.xi, q1, _ns(q1))
 
 
 def hamiltonian(model, point):

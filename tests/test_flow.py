@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from koenigs import flow
-from koenigs.errors import BoundaryReached, DomainError, NotBounded, StepFailure
+from koenigs.errors import BoundaryReached, ChartError, DomainError, NotBounded, StepFailure
 from koenigs.flow import _rhs, closure_test, drift_report, integrate
 from koenigs.geodesics import classify, curve_residual, start_point
 from koenigs.models import (
@@ -416,6 +416,16 @@ def test_closure_integrates_each_stretch_once(monkeypatch, family, rho, xi, E, L
     report = closure_test(make_model(family, rho, xi), E, L, tol=1e-5)
     assert sum(traj.t[-1] for traj in runs) == pytest.approx(report["period"], rel=1e-9)
     assert report["nfev"] == sum(traj.nfev for traj in runs)
+
+
+@pytest.mark.parametrize("family, rho, xi, E", [("h0", 0.8, 1.1, 0.5), ("hplus", 2.0, 8.0, 1.8)])
+def test_closure_refuses_a_perihelion_on_the_axis(family, rho, xi, E):
+    # at L = 1e-300 the inner turning point underflows to 0, where the scalar
+    # kernel would divide by zero
+    model = make_model(family, rho, xi)
+    assert classify(model, E, 1e-300).turning_points[0] == 0.0
+    with pytest.raises(ChartError):
+        closure_test(model, E, 1e-300, tol=1e-5)
 
 
 def test_closure_rejects_unbounded_regime(hplus_model):

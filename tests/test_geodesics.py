@@ -30,6 +30,17 @@ def test_radial_momentum_vanishes_at_turnings(family, rho, xi, E, L, expected):
         assert abs(radial_momentum_sq(model, E, L, t_pt)) < 1e-9
 
 
+def test_radial_momentum_on_the_axis_raises_for_a_float_and_warns_for_numpy():
+    # the scalar kernel runs on math, which raises where numpy divides by
+    # zero with a warning; classify's turning points and start points stay
+    # inside the chart, so no caller in the package meets it
+    model = make_model("h0", 0.8, 1.1)
+    with pytest.raises(ZeroDivisionError):
+        radial_momentum_sq(model, 0.5, 0.5, 0.0)
+    with pytest.warns(RuntimeWarning):
+        assert radial_momentum_sq(model, 0.5, 0.5, np.zeros(1))[0] == -math.inf
+
+
 @pytest.mark.parametrize("family,rho,xi,E,L,expected", REGIME_CASES)
 def test_start_point_sits_on_curve(family, rho, xi, E, L, expected):
     model = make_model(family, rho, xi)

@@ -6,6 +6,7 @@ import pytest
 from koenigs.invariants import (
     _STRETCH,
     _gradients,
+    _rel,
     algebra_residuals,
     conserved_functions,
     conserved_set,
@@ -14,7 +15,7 @@ from koenigs.invariants import (
 )
 from koenigs import models
 from koenigs.errors import ChartError
-from koenigs.models import PhasePoint, hamiltonian, make_model, make_point
+from koenigs.models import FAMILIES, PhasePoint, hamiltonian, make_model, make_point
 from koenigs.verify import _VERIFY_MODELS, _random_points
 
 
@@ -176,6 +177,32 @@ def test_algebra_residuals_on_arrays_match_scalar_calls():
             for key, val in scalar.items():
                 assert arr[key].shape == (12,)
                 assert arr[key][i] == pytest.approx(val, rel=1e-13, abs=1e-13), (family, key)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_scalar_point_gives_python_floats(family):
+    # a scalar point stays Python numbers from end to end: no numpy scalar
+    # leaks out of the energy, the conserved set, a bracket or a residual
+    model = _VERIFY_MODELS[family]
+    funcs = conserved_functions(model)
+    pts = _random_points(model, np.random.default_rng(47), 4)
+    for i in range(4):
+        pt = PhasePoint(float(pts.q1[i]), float(pts.q2[i]), float(pts.p1[i]), float(pts.p2[i]))
+        values = [hamiltonian(model, pt), *conserved_set(model, pt).as_dict().values(),
+                  *(poisson_bracket(funcs["E"], funcs[name], pt, model=model) for name in ("L", "S1", "S2")),
+                  *algebra_residuals(model, pt).values()]
+        assert all(type(v) is float for v in values), family
+
+
+@pytest.mark.parametrize("residual,terms", [
+    (math.nan, (2.0,)), (1.0, (math.nan,)), (1.0, (math.nan, 2.0)), (1.0, (2.0, math.nan)),
+])
+def test_rel_keeps_nan_on_scalar_and_array_paths(residual, terms):
+    got = _rel(residual, *terms)
+    assert type(got) is float and math.isnan(got)
+    got = _rel(np.array([residual, 1.0]), *(np.array([t, 4.0]) for t in terms))
+    assert math.isnan(got[0]) and got[1] == 0.25
+    assert _rel(3.0, -5.0, 2.0) == 0.6 and _rel(-0.5, 0.25) == 0.5
 
 
 def _same_bits(got, ref):

@@ -118,6 +118,40 @@ def test_kernel_formula_agrees_in_cmath_and_numpy(family):
         assert np.all(gap <= 8.0 * np.spacing(np.abs(part(want)))), family
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_kernel_on_python_scalars_returns_python_numbers(family):
+    # one namespace rule (`_ns`): a Python float runs on math and gives
+    # Python floats, a Python complex runs on cmath, and a numpy scalar or
+    # array stays numpy.  math and numpy round sinh, cosh and pow apart by an
+    # ulp, which hplus's b = cosh^2 / (W sinh^2) compounds to five (8.6e-16
+    # relative) on these points.
+    model = _VERIFY_MODELS[family]
+    q1 = _random_points(model, np.random.default_rng(43), 64).q1
+    want = kernel(model, q1)
+    for i, q in enumerate(q1.tolist()):
+        got = kernel(model, q)
+        assert all(type(v) is float for v in got), family
+        for v, w in zip(got, want):
+            assert abs(v - w[i]) <= 1e-15 * abs(w[i]), family
+        assert all(type(v) is complex for v in kernel(model, complex(q, 1e-30))), family
+        assert all(type(v) is np.float64 for v in kernel(model, np.float64(q))), family
+
+
+@pytest.mark.parametrize("family,rho,q1,error", [
+    ("h0", 0.8, 0.0, ZeroDivisionError),          # b = 1/(r^2 W) on the axis
+    ("hplus", 2.0, 0.0, ZeroDivisionError),       # b = a / sinh^2 on the axis
+    ("hplus", 2.0, 360.0, OverflowError),         # sinh^2 past the float range
+    ("hminus", 0.0, 0.0, ZeroDivisionError),      # the edge sinh x + rho = 0
+])
+def test_scalar_kernel_raises_where_numpy_warns(family, rho, q1, error):
+    model = make_model(family, rho, 1.1)
+    with pytest.raises(error):
+        kernel(model, q1)
+    with pytest.warns(RuntimeWarning):
+        values = kernel(model, np.float64(q1))
+    assert not all(np.isfinite(values))
+
+
 def test_hamiltonian_direct_substitution():
     model = make_model("trig", 0.5, 0.0)
     pt = make_point(model, math.pi / 2, 0.3, 1.0, 1.0)
