@@ -15,10 +15,11 @@ solves -(p y')' + V y = E w y with
     p = sqrt(a/b),    V = m^2/p + c/sqrt(a b),    w = 2/sqrt(a b).
 
 `shoot_eigenvalue` solves it by Chebyshev collocation on the half line,
-indexed by Sturm counts on a coarse grid; `count_bound_levels` counts the
-HypPlus levels by one Sturm count, and the eigenfunction residual applies
-the flux form on a fine grid.  None consults the closed forms; scipy.linalg
-loads at the first solve or count, and the rest needs numpy only.
+indexed by node counts, its domain sized by a Sturm count on a coarse grid;
+`count_bound_levels` counts the HypPlus levels by one Sturm count, and the
+eigenfunction residual applies the flux form on a fine grid.  None consults
+the closed forms; scipy.linalg loads at the first solve or count, and the
+rest needs numpy only.
 """
 
 import functools
@@ -171,20 +172,6 @@ def _eigenvalues(model, m, x_max, h, **select):
     return eigh_tridiagonal(diag, off, eigvals_only=True, **select)
 
 
-def _count_up_to(diag, off, x):
-    """Number of eigenvalues of the tridiagonal (diag, off) at or below x.
-
-    The matrix is positive definite for xi > 0, so the count over (-1, x]
-    holds them all.  The bisection tolerance is the interval width, so
-    LAPACK counts by Sturm sequences without refining any eigenvalue.
-    """
-    from scipy.linalg import eigh_tridiagonal
-
-    return len(eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="v", select_range=(-1.0, x), tol=x + 1.0
-    ))
-
-
 def _decay_length(model, E, depth=1.0):
     """Outer end that holds a level at E to well below 1e-10 (inf at or above the edge).
 
@@ -233,7 +220,7 @@ def _chebyshev(N):
 
 
 def _collocation(model, m, L, N):
-    """Eigenvalues, unsorted and complex, of the m-th radial operator at N - 1 mapped points.
+    """The m-th radial operator at the (N - 1) / 2 mapped points r > 0, a real matrix.
 
     Divided by w the flux form reads -(p/w) y'' - (p'/w) y' + (V/w) y = E y,
     p' by complex step on `kernel`.  p, V, w are odd in r, so y has parity
@@ -243,9 +230,6 @@ def _collocation(model, m, L, N):
     just below the edge only the bound one of the two decaying solutions
     has a u that vanishes at infinity.  On Hyp0 g = 1.
     """
-    # scipy's LAPACK, as for the Sturm counts: numpy's would add 0.7 MB of buffers
-    from scipy.linalg import eigvals
-
     x, even, odd = _chebyshev(N)
     q = 1.0 - x * x
     r = np.minimum(L * x / np.sqrt(q), _R_CLIP)
@@ -259,48 +243,58 @@ def _collocation(model, m, L, N):
     first = dxdr * same + phi
     A = -(p / w)[:, None] * ((dxdr * flip + phi) @ first) - (dp / w)[:, None] * first
     A[np.diag_indices_from(A)] += V / w
-    return eigvals(A, overwrite_a=True, check_finite=False)
+    return A
 
 
-def _collocation_levels(model, m, coarse):
-    """Levels 0..k up the N ladder from the search levels 0..k+1, and why they fail.
+def _collocation_levels(model, m, k, top):
+    """Levels 0..k up the N ladder, indexed by their node counts, and why they fail.
 
     Search level k sets the map length: its turning point plus one HypPlus
-    decay length.  Level j is the eigenvalue nearest level j of the size
-    before (of the search, at the first), passing over any between levels;
-    a nonsymmetric matrix has no Sturm count, so it must also lie within
-    half the distance from search level j to its neighbours.
+    decay length.  Level n has n zeros on r > 0 (Zettl, Sturm-Liouville
+    Theory, AMS 2005, ch. 10): past the first size, it is the lowest real
+    eigenvalue below the edge whose eigenvector changes sign n times, entries
+    under 1e-6 of its largest ignored, never the spurious HypPlus one just
+    below the edge with about (N - 1) / 2 (Boyd, Chebyshev and Fourier
+    Spectral Methods, ch. 7).  They settle when each is within `_SETTLE` of
+    an eigenvalue of the size before; until a size indexes them all, the
+    levels are search level k alone.
     """
-    L = _decay_length(model, coarse[-2], 1.0 / 18.0)
-    levels = coarse[:-1]
-    for N in _LADDER:
-        found = _collocation(model, m, L, N)
-        last, levels = levels, found[np.argmin(np.abs(found - levels[:, None]), axis=1)]
-        off = np.max(np.abs(levels - last) / np.maximum(1.0, np.abs(levels)))
-        if N > _LADDER[0] and off <= _SETTLE:
-            break
-    else:
-        return levels, (f"collocation N {_LADDER[-2]} and {_LADDER[-1]} disagree by "
-                        f"{off:.3g} relative (tolerance {_SETTLE:g})")
-    gaps = np.diff(coarse)
-    if not gaps.all():
-        j = int(np.argmin(gaps))
-        return levels, (f"search levels {j} and {j + 1} coincide at {float(coarse[j])!r} and "
-                        f"{float(coarse[j + 1])!r}, so level {j}'s index cannot be certified")
-    half = 0.5 * np.minimum(gaps, np.concatenate(([np.inf], gaps[:-1])))
-    miss = np.abs(levels - coarse[:-1])
-    j = int(np.argmax(miss / half))
-    if miss[j] < half[j]:
-        return levels, ""
-    return levels, (f"collocation level {j} is {miss[j]:.3g} from search level {j}, "
-                    f"{coarse[j]:.10g}; its index needs less than {half[j]:.3g}")
+    # scipy's LAPACK, as for the Sturm counts: numpy's would add 0.7 MB of buffers
+    from scipy.linalg import eig, eigvals
+
+    L = _decay_length(model, top, 1.0 / 18.0)
+    edge, nodes, levels = _edge(model), np.arange(k + 1)[:, None], np.array([top])
+    last = eigvals(_collocation(model, m, L, _LADDER[0]), overwrite_a=True, check_finite=False)
+    for before, N in zip(_LADDER, _LADDER[1:]):
+        found, u = eig(_collocation(model, m, L, N), overwrite_a=True, check_finite=False)
+        bound = np.flatnonzero((found.imag == 0.0) & (found.real < edge))
+        bound = bound[np.argsort(found.real[bound])]
+        E, u = found.real[bound], u[:, bound].real
+        # signs with the small entries zeroed, each zero then given the sign before it
+        sign = np.sign(u) * (np.abs(u) >= 1e-6 * np.abs(u).max(axis=0))
+        row = np.maximum.accumulate(np.where(sign != 0.0, np.arange(len(u))[:, None], 0), axis=0)
+        sign = np.take_along_axis(sign, row, axis=0)
+        hits = (sign[1:] * sign[:-1] < 0.0).sum(axis=0) == nodes
+        missing = np.flatnonzero(~hits.any(axis=1))
+        if missing.size:
+            n = missing[0]
+            failure = f"level {n} missing at N {N}: no eigenvector has {n} sign changes"
+        else:
+            levels = E[hits.argmax(axis=1)]
+            off = np.max(np.min(np.abs(levels[:, None] - last), axis=1) / np.maximum(1.0, levels))
+            if off <= _SETTLE:
+                return levels, ""
+            failure = (f"collocation N {before} and {N} disagree by {off:.3g} relative "
+                       f"(tolerance {_SETTLE:g})")
+        last = found
+    return levels, failure
 
 
 def _solve_levels(model, m, k):
     """Lowest k+1 radial eigenvalues, by mapped Chebyshev collocation.
 
-    The search bisects levels 0..k+1 of the 0.056 grid, its outer end whole
-    cells, until that covers the decay length of its level k and then of the
+    The search bisects level k of the 0.056 grid, its outer end whole cells,
+    until that covers the decay length of its level k and then of the
     collocation's; past chi = 200.032, or when the collocation fails on a
     settled domain, ConvergenceFailure.  A HypPlus level above the edge is
     NoBoundState when `count_bound_levels`, taken once, is at most k.
@@ -311,20 +305,20 @@ def _solve_levels(model, m, k):
     while True:
         cells = math.ceil(x_max / h)
         x_max = cells * h
-        need = math.inf  # also when fewer cells than k + 2 hold no k-th level
+        need = math.inf  # also when k cells or fewer hold no k-th level
         failure = ""
-        if k + 1 < cells:
+        if k < cells:
             # bisected to 1e-6, far below the grid's error
-            coarse = _eigenvalues(model, m, x_max, h, select="i", select_range=(0, k + 1), tol=1e-6)
-            need = _decay_length(model, coarse[k])
+            top, = _eigenvalues(model, m, x_max, h, select="i", select_range=(k, k), tol=1e-6)
+            need = _decay_length(model, top)
         # the slack stops round-off in E forcing more passes
         if need <= 1.05 * x_max:
-            levels, failure = _collocation_levels(model, m, coarse)
-            need = _decay_length(model, levels[-1].real)
+            levels, failure = _collocation_levels(model, m, k, top)
+            need = _decay_length(model, levels[-1])
             if need <= 1.05 * x_max:
                 if failure:
                     raise ConvergenceFailure(f"level k={k}, m={m}: {failure}")
-                return tuple(float(E.real) for E in levels)
+                return tuple(float(E) for E in levels)
         if need == math.inf and model.family == "hplus":
             if count is None:
                 count = count_bound_levels(model, m)
@@ -341,13 +335,13 @@ def _solve_levels(model, m, k):
 def shoot_eigenvalue(model, m, k):
     """k-th radial eigenvalue for angular number m, by spectral collocation.
 
-    Independent of the closed-form spectrum.  Sturm counts on a 0.056 grid
-    index the lowest levels and size the domain and the map length L; the
-    radial equation is collocated at Chebyshev points of r = L x /
-    sqrt(1 - x^2), folded by parity, at N = 81 and 121, else 181, 271 and 401,
-    until two sizes agree to 1e-11 max(1, |E|), and each level must lie
-    within half a gap of the search level of its index.  Else, as when the
-    top level needs more than chi = 200.032, ConvergenceFailure says how far.
+    Independent of the closed-form spectrum.  A Sturm count on a 0.056 grid
+    finds level k, which sizes the domain and the map length L; the radial
+    equation is collocated at Chebyshev points of r = L x / sqrt(1 - x^2),
+    folded by parity, at N = 81 and 121, else 181, 271 and 401, level n the
+    lowest with n sign changes, until each level is within 1e-11 max(1, E)
+    of an eigenvalue of the size before.  Else, as when the top level needs
+    more than chi = 200.032, ConvergenceFailure says how far.
 
     One solve returns levels 0..k, and a later call for a higher k solves
     afresh; so ask each (model, |m|) for its highest level first.  Levels in
@@ -389,13 +383,19 @@ def count_bound_levels(model, m):
     _require_quantum(model)
     if model.family == "h0":
         raise DomainError("the Hyp0 well is infinitely deep; the count diverges")
+    from scipy.linalg import eigh_tridiagonal
+
     m = abs(_integer("m", m))
     probe = _edge(model) * (1.0 - 1e-6)
     h = _H_COUNT
     decay = math.sqrt(_xi_eff(model) - 2.0 * model.rho * probe)
     diag, off, face = _flux_matrix(model, m, _X_START, h)
     diag[-1] -= face * min(math.exp(-h * (0.5 + decay)), 1.0 - 0.5 * h)
-    return _count_up_to(diag, off, probe)
+    # positive definite for xi > 0, so (-1, probe] holds every level below the
+    # probe; a bisection tolerance of the interval's width counts by Sturm
+    # sequences without refining any eigenvalue
+    return len(eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+                                select_range=(-1.0, probe), tol=probe + 1.0))
 
 
 # -- residuals ---------------------------------------------------------------

@@ -134,7 +134,7 @@ def test_folded_solve_is_the_full_line_solve_of_one_parity(family, rho, xi, m):
     # unfolded one whose eigenvector has the parity (-1)^m
     model = make_model(family, rho, xi)
     L, N = 3.0, 81
-    folded = np.sort_complex(quantum._collocation(model, m, L, N))[:6]
+    folded = np.sort_complex(scipy.linalg.eigvals(quantum._collocation(model, m, L, N)))[:6]
     full = _full_line_levels(model, m, L, N)
     assert len(full) == (N - 1) // 2
     assert np.max(np.abs(full[:6] - folded) / np.abs(folded)) < 1e-10
@@ -148,45 +148,86 @@ def test_error_falls_geometrically_along_the_size():
     L = quantum._decay_length(model, exact[-1], 1.0 / 18.0)
     errors = []
     for N in (21, 41, 61, 81, 121):
-        found = np.sort(quantum._collocation(model, 0, L, N).real)[:5]
+        found = np.sort(scipy.linalg.eigvals(quantum._collocation(model, 0, L, N)).real)[:5]
         errors.append(np.max(np.abs(found - exact)))
     assert all(fine < coarse / 30.0 for coarse, fine in zip(errors[:4], errors[1:4]))
     assert errors[3] < 1e-8 and errors[4] < 1e-12
 
 
 def test_index_check_refuses_a_dropped_level(monkeypatch):
-    # with level 1 missing from every collocation spectrum, the level nearest
-    # its search level is a neighbour, half a gap or more away
+    # with level 1's eigenpair missing from every collocation spectrum, no
+    # eigenvector changes sign once, and no other level stands in for it
     model = make_model("h0", 1.0, 8.0)
     missing = _closed_levels(model, 0)[1]
-    eigvals = scipy.linalg.eigvals
+    eig = scipy.linalg.eig
 
     def dropping(a, **options):
-        found = eigvals(a, **options)
-        return np.delete(found, np.argmin(np.abs(found - missing)))
+        found, vectors = eig(a, **options)
+        j = np.argmin(np.abs(found - missing))
+        return np.delete(found, j), np.delete(vectors, j, axis=1)
 
-    monkeypatch.setattr(scipy.linalg, "eigvals", dropping)
-    refused = (r"collocation level 1 is [0-9.e+-]+ from search level 1, [0-9.]+; "
-               r"its index needs less than [0-9.e+-]+")
+    monkeypatch.setattr(scipy.linalg, "eig", dropping)
+    refused = r"level k=3, m=0: level 1 missing at N 401: no eigenvector has 1 sign changes"
     with pytest.raises(ConvergenceFailure, match=refused):
         quantum._solve_levels(model, 0, 3)
 
 
 def test_unsettled_ladder_names_the_sizes_and_their_disagreement(monkeypatch):
-    monkeypatch.setattr(quantum, "_LADDER", (11, 15))
-    unsettled = (r"level k=3, m=0: collocation N 11 and 15 disagree by [0-9.e+-]+ relative "
+    # N = 41 indexes levels 0..3 by their node counts, 2.7e-5 from N = 31's;
+    # below 31 the ground state's noisy tail changes sign and nothing settles
+    monkeypatch.setattr(quantum, "_LADDER", (31, 41))
+    unsettled = (r"level k=3, m=0: collocation N 31 and 41 disagree by [0-9.e+-]+ relative "
                  r"\(tolerance 1e-11\)")
     with pytest.raises(ConvergenceFailure, match=unsettled):
         quantum._solve_levels(make_model("h0", 1.0, 8.0), 0, 3)
 
 
-def test_coinciding_search_levels_are_refused():
-    # levels 19 and 20 of the 0.056 search grid bisect to one value near the
-    # h0 edge; their half-gap is 0, so no index can be certified
-    model = make_model("h0", 2.3840313684153718, 1.2437234854131844)
-    coincide = r"level k=20, m=2: search levels 19 and 20 coincide at ([0-9.]+) and \1, so level 19"
-    with pytest.raises(ConvergenceFailure, match=coincide):
-        quantum._solve_levels(model, 2, 20)
+def _sign_changes(vector):
+    """Sign changes of a vector, entries below 1e-6 of its largest left out."""
+    signs = np.sign(vector[np.abs(vector) >= 1e-6 * np.max(np.abs(vector))])
+    return int(np.sum(signs[1:] != signs[:-1]))
+
+
+def test_spurious_edge_eigenvalue_is_never_a_level():
+    # the odd-m HypPlus collocation has a real eigenvalue just below the edge
+    # that is no level: at N = 81 it sits at 7.98 with the edge at 8, and its
+    # eigenvector changes sign at about every node
+    model = make_model("hplus", 0.5, 7.75)
+    exact = _closed_levels(model, 1)
+    assert len(exact) == 1 and quantum._edge(model) == 8.0
+    L = quantum._decay_length(model, exact[0], 1.0 / 18.0)
+    found, vectors = scipy.linalg.eig(quantum._collocation(model, 1, L, 81))
+    spurious = (found.imag == 0.0) & (found.real > 7.9) & (found.real < 8.0)
+    assert spurious.sum() == 1
+    assert _sign_changes(vectors[:, spurious][:, 0].real) > 30
+    # asked for a level 1 that the well does not hold, the index refuses;
+    # level 0 alone is the closed form's
+    levels, failure = quantum._collocation_levels(model, 1, 1, exact[0])
+    assert failure == "level 1 missing at N 401: no eigenvector has 1 sign changes"
+    assert np.all(levels < 7.9)
+    levels, failure = quantum._collocation_levels(model, 1, 0, exact[0])
+    assert failure == "" and abs(levels[0] - exact[0]) < 1e-12
+
+
+_COINCIDING = ("h0", 2.3840313684153718, 1.2437234854131844)
+
+
+@pytest.mark.parametrize("family, rho, xi, m, k", [
+    # h0 levels 7.7e-7 apart near the edge, which the 0.056 search grid
+    # merged into one: its index then refused all three
+    pytest.param(*_COINCIDING, 2, 20, id="coinciding-m2-k20"),
+    pytest.param(*_COINCIDING, 4, 19, id="coinciding-m4-k19"),
+    pytest.param(*_COINCIDING, 4, 20, id="coinciding-m4-k20"),
+    # top levels near the HypPlus edge that the nearest-level tracker left
+    # unsettled on the longest domain
+    pytest.param("hplus", 2.119, 35.478, 1, 1, id="near-edge-m1-k1"),
+    pytest.param("hplus", 0.3156, 26.006, 6, 1, id="near-edge-m6-k1"),
+])
+def test_node_count_solves_coinciding_and_near_edge_levels(family, rho, xi, m, k):
+    model = make_model(family, rho, xi)
+    exact = _closed_levels(model, m)[:k + 1]
+    assert len(exact) == k + 1
+    assert np.max(np.abs(np.array(quantum._solve_levels(model, m, k)) - exact)) < 5e-13
 
 
 def _spectrum_gate():
