@@ -17,9 +17,10 @@ solves -(p y')' + V y = E w y with
 `shoot_eigenvalue` solves it by Chebyshev collocation on the half line,
 indexed by node counts, its domain sized by a Sturm count on a coarse grid;
 `count_bound_levels` counts the HypPlus levels by one Sturm count, and the
-eigenfunction residual applies the flux form on a fine grid.  None consults
-the closed forms; scipy.linalg loads at the first solve or count, and the
-rest needs numpy only.
+eigenfunction residual applies the flux form on a fine grid, its
+coefficients read from one table per (model, step).  None consults the
+closed forms; scipy.linalg loads at the first solve or count, and the rest
+needs numpy only.
 """
 
 import functools
@@ -120,6 +121,8 @@ _LEVELS = {}
 # reuse heap pages, where one pass over a 16 000-point grid faults in fresh
 # ones on every call
 _BLOCK = 4096
+# the residual's coefficient table: one entry, (model, h) -> read-only rows
+_COEFFICIENTS = {}
 
 
 def _flux_coefficients(model, m, x):
@@ -414,14 +417,43 @@ def _radial_wave(model, level, q):
     return t**mm * (2.0 * e / (1.0 + e * e)) ** (0.5 + sq) * jacobi(n, mm, sq, 1.0 - 2.0 * t**2)
 
 
+def _coefficient_table(model, h, n):
+    """Rows p at the faces, then p, c/sqrt(a b) and w at the points, of grid points j < n.
+
+    Point j sits at q = (j + 2) h, its face at q + h/2; the rows are
+    `_flux_p` and `_flux_coefficients(model, 0, .)` there, which hold no
+    mode or level.  The table is the one entry of `_COEFFICIENTS`, kept
+    while calls on the same (model, h) need no longer grid, else rebuilt
+    in `_BLOCK` stretches so that no temporary outgrows one.  Read-only.
+    """
+    key = (model, h)
+    table = _COEFFICIENTS.get(key)
+    if table is None or table.shape[1] < n:
+        _COEFFICIENTS.clear()
+        table = np.empty((4, n))
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            q = h * np.arange(lo + 2, hi + 2)
+            table[0, lo:hi] = _flux_p(model, q + 0.5 * h)
+            table[1:, lo:hi] = _flux_coefficients(model, 0, q)
+        table.flags.writeable = False
+        _COEFFICIENTS[key] = table
+    return table
+
+
 def schrodinger_residual(model, level, h=1e-3):
     """Relative w-weighted L2 residual of (H - E) psi, H in flux form on step h.
 
     Second order: halving h should shrink the value about fourfold.  The
     sums run over stretches of `_BLOCK` grid points, each with one point of
-    overlap at either end.
+    overlap at either end.  The coefficients come from one table per
+    (model, h), 32 bytes per grid point of the longest grid asked of it;
+    V = c/sqrt(a b) + m^2/p is formed per call.  DomainError when h is not
+    positive and finite or leaves fewer than three grid points.
     """
     _require_quantum(model)
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"need a positive finite step h, got h={h!r}")
     E, m = level.E, level.m
     delta = _xi_eff(model) - 2.0 * model.rho * E
     if delta <= 0.0:
@@ -434,21 +466,23 @@ def schrodinger_residual(model, level, h=1e-3):
     # grid q_j = (j + 2) h, j < n, the points of np.arange(2 h, q_max + h, h);
     # the residual lives on the interior points 1 <= j <= n - 2
     n = math.ceil((q_max + h - 2.0 * h) / h)
+    if n < 3:
+        raise DomainError(f"step h={h!r} leaves fewer than 3 grid points below q_max {q_max:.4g}")
+    face, p, cr, w = _coefficient_table(model, h, n)
     num = den = 0.0
     for lo in range(1, n - 1, _BLOCK):
         hi = min(lo + _BLOCK, n - 1)
-        q = h * np.arange(lo + 1, hi + 3)
-        psi = _radial_wave(model, level, q)
+        psi = _radial_wave(model, level, h * np.arange(lo + 1, hi + 3))
         flux = psi[1:] - psi[:-1]
-        flux *= _flux_p(model, q[:-1] + 0.5 * h)
-        _, V, w = _flux_coefficients(model, m, q[1:-1])
-        psi = psi[1:-1]
+        flux *= face[lo - 1:hi]
+        psi, wj = psi[1:-1], w[lo:hi]
         # w (H - E) psi = -(p psi')' + (V - E w) psi, and w res^2 = (w res)^2 / w
-        V -= E * w
+        V = cr[lo:hi] + m**2 / p[lo:hi] if m else cr[lo:hi]
+        V = V - E * wj
         V *= psi
         wres = flux[:-1] - flux[1:]
         wres *= 1.0 / h**2
         wres += V
-        num += float(np.dot(wres, wres / w))
-        den += float(np.dot(psi, w * psi))
+        num += float(np.dot(wres, wres / wj))
+        den += float(np.dot(psi, wj * psi))
     return math.sqrt(num / den)

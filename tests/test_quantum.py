@@ -1,4 +1,10 @@
+import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -590,16 +596,117 @@ def test_level_cache_bounded_and_reused(monkeypatch):
     assert (model, 0) not in quantum._LEVELS  # the oldest entry went first
 
 
-@pytest.mark.parametrize("family, rho, xi, n, m", [
+_RESIDUAL_CASES = [
     ("h0", 0.8, 1.1, 1, 1), ("h0", 1.0, 2.5, 3, 0), ("hplus", 2.0, 29.4, 1, 0), ("hplus", 0.5, 7.75, 0, 2),
-])
+]
+
+
+def _level(model, n, m):
+    return next(l for l in spectrum(model, n, abs(m)) if (l.n, l.m) == (n, m))
+
+
+def _top_level(model, n, m):
+    # a level at or above (n, m) of another mode: its grid is at least as long
+    return max(spectrum(model, n + 2, abs(m) + 2), key=lambda l: l.E)
+
+
+@pytest.mark.parametrize("family, rho, xi, n, m", _RESIDUAL_CASES)
 def test_residual_stretches_match_one_pass(monkeypatch, family, rho, xi, n, m):
-    # h0 (1, 2.5) at n 3 spans about 21 000 grid points, six stretches
+    # h0 (1, 2.5) at n 3 spans about 21 000 grid points, six stretches; each
+    # side builds its own table, the second in one pass
     model = make_model(family, rho, xi)
-    lv = [l for l in spectrum(model, n, m) if (l.n, l.m) == (n, m)][0]
+    lv = _level(model, n, m)
+    monkeypatch.setattr(quantum, "_COEFFICIENTS", {})
     stretched = schrodinger_residual(model, lv)
+    monkeypatch.setattr(quantum, "_COEFFICIENTS", {})
     monkeypatch.setattr(quantum, "_BLOCK", 10**6)
     assert stretched == pytest.approx(schrodinger_residual(model, lv), rel=1e-12)
+
+
+@pytest.mark.parametrize("family, rho, xi, n, m", _RESIDUAL_CASES)
+def test_warm_coefficient_table_matches_a_cleared_one(monkeypatch, family, rho, xi, n, m):
+    model = make_model(family, rho, xi)
+    lv = _level(model, n, m)
+    monkeypatch.setattr(quantum, "_COEFFICIENTS", {})
+    cold = schrodinger_residual(model, lv)
+    schrodinger_residual(model, _top_level(model, n, m))
+    assert schrodinger_residual(model, lv) == cold
+
+
+def test_coefficient_table_is_one_read_only_entry(monkeypatch):
+    monkeypatch.setattr(quantum, "_COEFFICIENTS", {})
+    first, second = make_model("h0", 1.0, 8.0), make_model("hplus", 2.0, 29.4)
+    for model, h in ((first, 1e-3), (second, 1e-3), (second, 5e-4), (first, 5e-4)):
+        schrodinger_residual(model, _level(model, 0, 0), h=h)
+        assert list(quantum._COEFFICIENTS) == [(model, h)]
+        table = quantum._COEFFICIENTS[(model, h)]
+        assert table.shape[0] == 4 and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        # faces, then p, c/sqrt(a b) and w at the points q_j = (j + 2) h
+        q = h * np.arange(2, table.shape[1] + 2)
+        assert np.array_equal(table[0], quantum._flux_p(model, q + 0.5 * h))
+        assert np.array_equal(table[1:], quantum._flux_coefficients(model, 0, q))
+
+
+def test_coefficient_table_regrows_for_a_longer_grid(monkeypatch):
+    monkeypatch.setattr(quantum, "_COEFFICIENTS", {})
+    model = make_model("h0", 1.0, 8.0)
+    schrodinger_residual(model, _level(model, 0, 0))
+    short = quantum._COEFFICIENTS[(model, 1e-3)]
+    schrodinger_residual(model, _level(model, 3, 1))
+    long = quantum._COEFFICIENTS[(model, 1e-3)]
+    assert long.shape[1] > short.shape[1]
+    # the shorter grid's points are the same numbers in the longer table
+    assert np.array_equal(long[:, :short.shape[1]], short)
+    schrodinger_residual(model, _level(model, 0, 0))
+    assert quantum._COEFFICIENTS[(model, 1e-3)] is long
+
+
+def test_coefficient_table_holds_no_mode_or_level(monkeypatch):
+    model = make_model("h0", 1.0, 8.0)
+    m2 = _level(model, 1, 2)
+    shifted = dataclasses.replace(m2, E=m2.E * (1.0 + 1e-6))
+    cold = {}
+    for lv in (m2, shifted):
+        monkeypatch.setattr(quantum, "_COEFFICIENTS", {})
+        cold[lv] = schrodinger_residual(model, lv)
+    monkeypatch.setattr(quantum, "_COEFFICIENTS", {})
+    schrodinger_residual(model, _level(model, 3, 0))  # m 0 builds the table
+    assert schrodinger_residual(model, m2) == cold[m2]
+    assert schrodinger_residual(model, shifted) == cold[shifted]
+    assert cold[shifted] > cold[m2]  # the shifted level is no eigenfunction
+
+
+def test_warm_process_reads_the_residuals_of_a_fresh_one(monkeypatch):
+    code = ("import json\nfrom koenigs.models import make_model\n"
+            "from koenigs.quantum import schrodinger_residual, spectrum\n"
+            f"cases = {_RESIDUAL_CASES!r}\n"
+            "out = []\n"
+            "for family, rho, xi, n, m in cases:\n"
+            "    model = make_model(family, rho, xi)\n"
+            "    lv = next(l for l in spectrum(model, n, abs(m)) if (l.n, l.m) == (n, m))\n"
+            "    out.append(schrodinger_residual(model, lv))\n"
+            "print(json.dumps(out))")
+    src = str(Path(quantum.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    fresh = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True, env=env)
+    monkeypatch.setattr(quantum, "_COEFFICIENTS", {})
+    warm = []
+    for family, rho, xi, n, m in _RESIDUAL_CASES:
+        model = make_model(family, rho, xi)
+        schrodinger_residual(model, _top_level(model, n, m))
+        warm.append(schrodinger_residual(model, _level(model, n, m)))
+    assert warm == json.loads(fresh.stdout)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, 5.0, math.nan, math.inf])
+def test_residual_refuses_a_bad_step(monkeypatch, h):
+    monkeypatch.setattr(quantum, "_COEFFICIENTS", {})
+    model = make_model("h0", 1.0, 8.0)
+    with pytest.raises(DomainError, match=r"h="):
+        schrodinger_residual(model, _level(model, 0, 0), h=h)
+    assert not quantum._COEFFICIENTS  # refused before the table
 
 
 def test_residual_converges_quadratically():
