@@ -60,7 +60,7 @@ _FORMATS = {
 }
 
 # one span per family keeps runs short while crossing several turnings
-_FAMILY_SPANS = {"trig": 8.0, "h0": 12.0, "hplus": 10.0, "hminus": 4.0, "affine": 4.0}
+_FAMILY_SPANS = {"trig": 8.0, "h0": 12.0, "hplus": 10.0, "affine": 4.0}
 
 
 class UsageError(Exception):

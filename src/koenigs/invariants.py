@@ -5,12 +5,11 @@ one formula for them (`Family.integrals`), which takes every sine, cosine
 and exponential it needs once and forms its own H from those values.  The
 energy E is `hamiltonian`, through `kernel`, so a bracket {E, S} compares
 two independent pieces of code.  The S1 and S2 callables of
-`conserved_functions` each form only their own integral.  Two sign conventions
-for the bracket are in circulation; everything here uses the canonical
-{f,g} = df/dq dg/dp - df/dp dg/dq, and the relation checks evaluate the
-tabulated algebra with arguments swapped where its convention is the
-reversed one.  All brackets are numeric derivatives, which keeps the
-integral formulas and the algebra checks independent of each other.
+`conserved_functions` each form only their own integral.  Every bracket
+here is the canonical {f,g} = df/dq dg/dp - df/dp dg/dq, the order of the
+algebra each `FAMILY` row tabulates (`Family.algebra`).  All brackets are
+numeric derivatives, which keeps the integral formulas and the algebra
+table independent of each other.
 
 Every partial derivative is a complex step, Im f(z + i h e_k) / h with
 h = 1e-30 (Squire & Trapp, SIAM Rev. 40, 1998), the step the flow takes
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import COMPLEX_STEP, FAMILY, PhasePoint, _ns, check_chart, hamiltonian
+from .models import COMPLEX_STEP, FAMILY, PhasePoint, check_chart, hamiltonian
 
 # points per stretch: a complex temporary of a stretch is 64 KB, under
 # glibc's default 128 KB mmap threshold; 2048 points fault less but run
@@ -197,64 +196,29 @@ def _rel(residual, *terms):
 
 
 def algebra_residuals(model, point):
-    """Residuals |LHS - RHS| of the family's algebra relations.
+    """Residuals of the family's quadratic algebra: the same seven keys for every family.
 
-    Every bracket comes from one `_gradients` pass over (H, L, S1, S2),
-    so the conserved set is evaluated once per call of the pass.  Bracket
-    relations use the complex-step bracket with arguments swapped
-    relative to the canonical ordering (the convention the relations
-    tabulated here assume); algebraic identities are evaluated exactly.
-    All residuals are relative to max(1, |terms|), elementwise when the
-    point carries arrays.
+    One `_gradients` pass over (H, L, S1, S2) gives every canonical bracket,
+    each compared with the family's row of the algebra (`Family.algebra`):
+
+        dH_L, dH_S1, dH_S2   {H, X} = 0 for X = L, S1, S2, relative to E and X
+        w_L_S1, w_L_S2       {L, Si} against the table, relative to it and Si
+        w_S1_S2              {S1, S2} against the table, relative to it, S1 and S2
+        casimir              the Casimir residual, relative to its scale terms
+
+    Each is |LHS - RHS| / max(1, |terms|), elementwise when the point
+    carries arrays; the Casimir takes no bracket.
     """
-    fam = model.family
     dH, dL, dS1, dS2 = _gradients(lambda z: _conserved_values(model, z), point, model=model)
-
-    def pb_rev(df, dg):
-        # the tabulated algebra uses the reversed argument order
-        return _bracket(dg, df)
-
     E, L, s1, s2 = _conserved_values(model, point)
-    out = {
-        "dH_L": _rel(pb_rev(dH, dL), E, L),
-        "dH_S1": _rel(pb_rev(dH, dS1), E, s1),
-        "dH_S2": _rel(pb_rev(dH, dS2), E, s2),
+    algebra = FAMILY[model.family].algebra
+    L_S1, L_S2, S1_S2, casimir, scale = algebra(model.rho, model.xi, E, L, s1, s2)
+    return {
+        "dH_L": _rel(_bracket(dH, dL), E, L),
+        "dH_S1": _rel(_bracket(dH, dS1), E, s1),
+        "dH_S2": _rel(_bracket(dH, dS2), E, s2),
+        "w_L_S1": _rel(_bracket(dL, dS1) - L_S1, L_S1, s1),
+        "w_L_S2": _rel(_bracket(dL, dS2) - L_S2, L_S2, s2),
+        "w_S1_S2": _rel(_bracket(dS1, dS2) - S1_S2, S1_S2, s1, s2),
+        "casimir": _rel(casimir, *scale),
     }
-    rho, xi = model.rho, model.xi
-    q1, q2 = point.q1, point.q2
-    x, y = _ns(q1), _ns(q2)
-    if fam == "trig":
-        # eigen relations of Q -> {P_y, Q} and the cosh/sinh recombination
-        out["eigen_plus"] = _rel(_bracket(dS1, dL) - s1, s1)
-        out["eigen_minus"] = _rel(_bracket(dS2, dL) + s2, s2)
-        lhs = 0.5 * (s1 + s2) * y.cosh(q2) - 0.5 * (s1 - s2) * y.sinh(q2)
-        rhs = L**2 * x.cos(q1) - rho * E
-        out["recombination"] = _rel(lhs - rhs, lhs, rhs)
-    elif fam == "h0":
-        lhs = s1 * y.sin(2 * q2) + s2 * y.cos(2 * q2)
-        rhs = E - L**2 / q1**2
-        out["recombination"] = _rel(lhs - rhs, lhs, rhs)
-    elif fam == "hplus":
-        D = (1.0 + x.cosh(q1) ** 2) / (2.0 * x.sinh(q1) ** 2)
-        lhs = s1 * y.sin(2 * q2) + s2 * y.cos(2 * q2)
-        rhs = E - D * L**2
-        out["recombination"] = _rel(lhs - rhs, lhs, rhs)
-    elif fam == "hminus":
-        out["w_L_S1"] = _rel(pb_rev(dL, dS1) - s2, s1, s2)
-        out["w_L_S2"] = _rel(pb_rev(dL, dS2) + s1, s1, s2)
-        # cubic bracket and quartic Casimir; the relative sign of
-        # (2 rho H - xi) is the one that actually closes (checked against
-        # numeric brackets and exact expansion)
-        rhs = L * (2.0 * L**2 - 2.0 * rho * E + xi)
-        out["w_S1_S2"] = _rel(pb_rev(dS1, dS2) - rhs, rhs, s1 * s2)
-        cas = s1**2 + s2**2 - (E**2 - L**4 - L**2 * (xi - 2.0 * rho * E))
-        out["casimir"] = _rel(cas, s1**2, s2**2, E**2)
-    elif fam == "affine":
-        out["w_L_S2"] = _rel(pb_rev(dL, dS2) - s1, s1, s2)
-        rhs1 = L**2 - 2.0 * rho * E
-        out["w_L_S1"] = _rel(pb_rev(dL, dS1) - rhs1, s1, rhs1)
-        rhs12 = (2.0 * s2 + 2.0 * E - xi) * L
-        out["w_S1_S2"] = _rel(pb_rev(dS1, dS2) - rhs12, rhs12, s1, s2)
-        cas = s1**2 + 2.0 * (2.0 * rho * E - L**2) * s2 - (2.0 * E - xi) * L**2
-        out["casimir"] = _rel(cas, s1**2, s2**2, E**2)
-    return out

@@ -15,10 +15,10 @@ closed orbits carry a `Radial` row: their radial motion is one quadratic in
 u, read through that row by the classifier, the curve residual and the
 action quadrature, and the row's E(J), J(E) and quantum xi shift are the
 closed forms of the actions and the spectrum.  Each row also holds the
-family's kernel formula, so `kernel` is one lookup, and its quadratic
-integrals S1, S2, which form their own H without `kernel`.  Three
-`if fam ==` chains remain, one function each: `scalar_curvature`, `embed`
-and `generators`.
+family's kernel formula, so `kernel` is one lookup, its quadratic
+integrals S1, S2, which form their own H without `kernel`, and the algebra
+they close into, brackets and Casimir.  Three `if fam ==` chains remain,
+one function each: `scalar_curvature`, `embed` and `generators`.
 
 Every Hamiltonian has the shape H = (a(q1) p1^2 + b(q1) p2^2 + c(q1)) / 2,
 so the metric is diag(1/a, 1/b) and the potential is c/2.  All coordinate
@@ -92,6 +92,7 @@ class Family:
     chart: object               # rho -> open q1 interval (lo, hi)
     kernel: object              # (rho, xi, q1, xp) -> (a, b, c); see `kernel`
     integrals: object           # (rho, xi, q1, q2, p1, p2, which) -> S1, S2; see below
+    algebra: object             # (rho, xi, E, L, S1, S2) -> brackets, Casimir; see below
     angle: bool = False         # q2 is an angle on [0, 2*pi)
     radial: Radial = None       # set where orbits close: actions and spectra
 
@@ -232,19 +233,62 @@ def _affine_integrals(rho, xi, q1, q2, p1, p2, which):
     return _chosen(s1, s2, which)
 
 
+# -- Quadratic algebra, one formula per family ----------------------------
+#
+# The integrals above close into a quadratic algebra with a Casimir
+# (Daskaloyannis, J. Math. Phys. 42, 1100 (2001)).  From the values E,
+# L = p2, S1, S2 each formula returns the canonical brackets
+# {f, g} = df/dq dg/dp - df/dp dg/dq that {L, S1}, {L, S2} and {S1, S2}
+# equal, then the Casimir residual (0) and the terms that scale it.
+
+def _trig_algebra(rho, xi, E, L, s1, s2):
+    # the exponential pair is an eigenpair of {L, .}
+    L2 = L**2
+    casimir = s1 * s2 - ((rho * E) ** 2 - 2.0 * E * L2 + L2**2 + xi * L2)
+    return -s1, s2, L * (2.0 * xi - 4.0 * E + 4.0 * L2), casimir, (s1 * s2, E**2)
+
+
+def _h0_algebra(rho, xi, E, L, s1, s2):
+    L2 = L**2
+    casimir = s1**2 + s2**2 - E**2 - (2.0 * rho * E - xi) * L2
+    return -2.0 * s2, 2.0 * s1, L * (4.0 * rho * E - 2.0 * xi), casimir, (s1**2, s2**2, E**2)
+
+
+def _hplus_algebra(rho, xi, E, L, s1, s2):
+    L2 = L**2
+    casimir = s1**2 + s2**2 - E**2 - ((2.0 * rho - 1.0) * E - xi) * L2 - 0.25 * L2**2
+    S1_S2 = L * (2.0 * (2.0 * rho - 1.0) * E - 2.0 * xi + L2)
+    return -2.0 * s2, 2.0 * s1, S1_S2, casimir, (s1**2, s2**2, E**2)
+
+
+def _hminus_algebra(rho, xi, E, L, s1, s2):
+    L2 = L**2
+    casimir = s1**2 + s2**2 - E**2 - (2.0 * rho * E - xi) * L2 + L2**2
+    return -s2, s1, L * (2.0 * rho * E - xi - 2.0 * L2), casimir, (s1**2, s2**2, E**2)
+
+
+def _affine_algebra(rho, xi, E, L, s1, s2):
+    # {L, S1} = 2 rho H - p2^2, the `drop` of the integrals
+    L2 = L**2
+    drop = 2.0 * rho * E - L2
+    casimir = s1**2 + 2.0 * drop * s2 - (2.0 * E - xi) * L2
+    return drop, -s1, L * (xi - 2.0 * E - 2.0 * s2), casimir, (s1**2, s2**2, E**2)
+
+
 FAMILY = {
     "trig": Family((0.0, 1.0), (0.0, 1.0, -1.0), lambda rho: (0.0, math.pi), _trig_kernel,
-                   _trig_integrals),
-    "h0": Family((0.0, math.inf), (0.0,), _half_line, _h0_kernel, _h0_integrals, angle=True,
-                 radial=Radial(0.0, lambda r: r * r, math.sqrt, math.inf, 0.0)),
+                   _trig_integrals, _trig_algebra),
+    "h0": Family((0.0, math.inf), (0.0,), _half_line, _h0_kernel, _h0_integrals, _h0_algebra,
+                 angle=True, radial=Radial(0.0, lambda r: r * r, math.sqrt, math.inf, 0.0)),
     "hplus": Family((0.0, math.inf), (1.0,), _half_line, _hplus_kernel, _hplus_integrals,
-                    angle=True,
+                    _hplus_algebra, angle=True,
                     radial=Radial(1.0, lambda chi: math.tanh(chi) ** 2,
                                   lambda u: math.atanh(math.sqrt(u)), 1.0, 0.25)),
     # sinh x + rho > 0
     "hminus": Family((-math.inf, math.inf), (), lambda rho: (math.asinh(-rho), math.inf),
-                     _hminus_kernel, _hminus_integrals),
-    "affine": Family((0.0, math.inf), (0.0,), _half_line, _affine_kernel, _affine_integrals),
+                     _hminus_kernel, _hminus_integrals, _hminus_algebra),
+    "affine": Family((0.0, math.inf), (0.0,), _half_line, _affine_kernel, _affine_integrals,
+                     _affine_algebra),
 }
 
 FAMILIES = tuple(FAMILY)

@@ -119,6 +119,17 @@ def test_negative_seed_is_usage_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["flow", "geodesic"])
+def test_hminus_trajectory_has_no_global_structure(capsys, command):
+    # the local family is refused by the classifier before any span is read
+    code, out, err = run_cli(
+        capsys, command, "--family", "hminus", "--rho", "0.6", "--xi", "0.9", "--E", "1", "--L", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: NoGlobalStructure: no geodesic classification")
+
+
 def test_actions_csv_row(capsys):
     code, out, err = run_cli(
         capsys, "actions", "--family", "h0", "--rho", "0.8", "--xi", "1.1",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from koenigs.invariants import (
 from koenigs import models
 from koenigs.errors import ChartError
 from koenigs.models import FAMILIES, PhasePoint, hamiltonian, make_model, make_point
-from koenigs.verify import _VERIFY_MODELS, _random_points
+from koenigs.verify import _VERIFY_MODELS, _random_points, run_suite
 
 
 def test_trig_conserved_set_direct_substitution():
@@ -65,8 +66,8 @@ def test_bracket_hamiltonian_conserves_integrals():
 
 
 def test_trig_ladder_relation():
-    # with swapped bracket arguments, bracketing with the linear integral
-    # scales the quadratic ones by +1 and -1 respectively
+    # in the canonical order, bracketing the linear integral with the
+    # quadratic ones scales them by -1 and +1 respectively
     rng = np.random.default_rng(5)
     model = make_model("trig", 0.5, 0.7)
     funcs = conserved_functions(model)
@@ -74,10 +75,10 @@ def test_trig_ladder_relation():
         pt = PhasePoint(rng.uniform(0.4, 2.7), rng.uniform(-1.2, 1.2),
                         rng.uniform(-2, 2), rng.uniform(-2, 2))
         s1, s2 = second_integrals(model, pt)
-        up = poisson_bracket(funcs["S1"], funcs["L"], pt, model=model)
-        down = poisson_bracket(funcs["S2"], funcs["L"], pt, model=model)
-        assert up == pytest.approx(s1, rel=5e-14, abs=5e-14)
-        assert down == pytest.approx(-s2, rel=5e-14, abs=5e-14)
+        down = poisson_bracket(funcs["L"], funcs["S1"], pt, model=model)
+        up = poisson_bracket(funcs["L"], funcs["S2"], pt, model=model)
+        assert down == pytest.approx(-s1, rel=5e-14, abs=5e-14)
+        assert up == pytest.approx(s2, rel=5e-14, abs=5e-14)
 
 
 def test_bracket_next_to_chart_edge_is_exact():
@@ -96,30 +97,66 @@ def test_bracket_of_math_function_raises_type_error():
 
 def test_exact_identities_tiny_everywhere():
     rng = np.random.default_rng(11)
-    for family, lo, hi in (("trig", 0.4, 2.7), ("h0", 0.4, 2.3),
-                           ("hplus", 0.4, 2.1), ("affine", 0.4, 2.3)):
+    for family, lo, hi in (("trig", 0.4, 2.7), ("h0", 0.4, 2.3), ("hplus", 0.4, 2.1),
+                           ("hminus", 0.4, 2.3), ("affine", 0.4, 2.3)):
         model = make_model(family, 0.6 if family != "hplus" else 2.0, 0.9)
         for _ in range(25):
             pt = PhasePoint(rng.uniform(lo, hi), rng.uniform(-1.2, 1.2),
                             rng.uniform(-2, 2), rng.uniform(-2, 2))
             res = algebra_residuals(model, pt)
-            for key in ("recombination", "casimir"):
-                if key in res:
-                    assert res[key] < 1e-11, (family, key, res[key])
+            assert res["casimir"] < 1e-11, (family, res["casimir"])
 
 
-def test_hminus_w_algebra_closes():
-    rng = np.random.default_rng(13)
-    model = make_model("hminus", 0.6, 0.9)
-    x_lo = math.asinh(-model.rho)
-    for _ in range(25):
-        pt = PhasePoint(rng.uniform(x_lo + 0.35, x_lo + 2.0), rng.uniform(-1.2, 1.2),
-                        rng.uniform(-2, 2), rng.uniform(-2, 2))
-        res = algebra_residuals(model, pt)
-        assert res["w_L_S1"] < 2e-13
-        assert res["w_L_S2"] < 2e-13
-        assert res["w_S1_S2"] < 2e-13
-        assert res["casimir"] < 1e-11
+# three models per family, so that no coefficient of the algebra table is
+# right at one (rho, xi) by accident
+TABLE_MODELS = (
+    ("trig", 0.5, 0.7), ("trig", 0.2, -1.3), ("trig", 0.9, 3.0),
+    ("h0", 0.8, 1.1), ("h0", 0.3, 5.0), ("h0", 2.5, 0.4),
+    ("hplus", 2.0, 1.3), ("hplus", 0.4, 8.0), ("hplus", 3.1, 0.2),
+    ("hminus", 0.6, 0.9), ("hminus", -1.5, 2.0), ("hminus", 3.0, -0.7),
+    ("affine", 1.2, 0.9), ("affine", 0.3, -2.0), ("affine", 4.0, 5.0),
+)
+
+
+@pytest.mark.parametrize("family,rho,xi", TABLE_MODELS)
+def test_algebra_table_closes(family, rho, xi):
+    model = make_model(family, rho, xi)
+    res = algebra_residuals(model, _random_points(model, np.random.default_rng(13), 400))
+    for key in ("w_L_S1", "w_L_S2", "w_S1_S2"):
+        assert np.max(res[key]) < 2e-13, (key, np.max(res[key]))
+    assert np.max(res["casimir"]) < 1e-11
+
+
+def _doubled_hplus(row):
+    # the P_phi^2 coefficient of `rest` doubled: -D p2^2 once more, turned
+    # with the pair
+    def integrals(rho, xi, q1, q2, p1, p2, which):
+        x, y = models._ns(q1), models._ns(q2)
+        extra = -0.5 * (1.0 + x.cosh(q1) ** 2) * (p2 / x.sinh(q1)) ** 2
+        s1, s2 = row.integrals(rho, xi, q1, q2, p1, p2, None)
+        pair = (s1 + y.sin(2 * q2) * extra, s2 + y.cos(2 * q2) * extra)
+        return pair if which is None else pair[which]
+    return integrals
+
+
+def _scaled_pair(row):
+    def integrals(rho, xi, q1, q2, p1, p2, which):
+        pair = tuple((1.0 + 1e-9) * s for s in row.integrals(rho, xi, q1, q2, p1, p2, None))
+        return pair if which is None else pair[which]
+    return integrals
+
+
+@pytest.mark.parametrize("family,mutant", [("hplus", _doubled_hplus), ("h0", _scaled_pair)])
+def test_algebra_table_catches_wrong_integrals(monkeypatch, family, mutant):
+    # the verify row fails on the 2e-12 bracket bound or the 1e-11 Casimir gate
+    row = models.FAMILY[family]
+    monkeypatch.setitem(models.FAMILY, family, replace(row, integrals=mutant(row)))
+    model = _VERIFY_MODELS[family]
+    res = algebra_residuals(model, _random_points(model, np.random.default_rng(59), 40))
+    worst_bracket = max(np.max(res[key]) for key in ("w_L_S1", "w_L_S2", "w_S1_S2"))
+    assert worst_bracket >= 2e-12 or np.max(res["casimir"]) >= 1e-11
+    (result,) = [r for r in run_suite("invariants") if r.name == "invariants.algebra_identities"]
+    assert result.status == "FAIL", result.detail
 
 
 def test_diagnostics_vectorize():
@@ -173,7 +210,8 @@ def test_algebra_residuals_on_arrays_match_scalar_calls():
             pt = PhasePoint(float(pts.q1[i]), float(pts.q2[i]),
                             float(pts.p1[i]), float(pts.p2[i]))
             scalar = algebra_residuals(model, pt)
-            assert set(scalar) == set(arr)
+            assert list(scalar) == list(arr) == [
+                "dH_L", "dH_S1", "dH_S2", "w_L_S1", "w_L_S2", "w_S1_S2", "casimir"]
             for key, val in scalar.items():
                 assert arr[key].shape == (12,)
                 assert arr[key][i] == pytest.approx(val, rel=1e-13, abs=1e-13), (family, key)
