@@ -18,16 +18,17 @@ q1 and p1 slopes, the only ones it reads.
 Integration is adaptive explicit Runge-Kutta, DOP853 (Hairer, Norsett &
 Wanner, Solving Ordinary Differential Equations I, 2nd ed., 1993: II.4
 for the step control, II.6 for the dense output).  The loop is written
-here over Python floats.  The tableau is scipy's own
-(`scipy.integrate._ivp.dop853_coefficients`); at the first run it is
-written out as two straight-line functions (`_step_functions`), the trial step
-and the dense-output extension, with every coefficient inlined and every
-sum in the order of a loop over the tableau's rows.  The initial step, error
-norm, step-size controller, dense output and event search are those of
-scipy's DOP853, so a run takes the same steps as scipy's integrator; the
-tests keep that integrator as the oracle.  scipy enters at the first run,
-not at import: scipy.integrate for the tableau, and scipy.optimize for
-the first event root search.  It is not symplectic on purpose: runs are
+here over Python floats.  The tableau is scipy's own: at the first run
+`_tableau` executes scipy's `integrate/_ivp/dop853_coefficients.py` by
+file path, which imports numpy only, and `_step_functions` writes it out
+as two straight-line functions, the trial step and the dense-output
+extension, with every coefficient inlined and every sum in the order of a
+loop over the tableau's rows.  The initial step, error norm, step-size
+controller, dense output and event search are those of scipy's DOP853,
+and the event root search is `_brentq`, a port of scipy's brentq, so a
+run takes the same steps and finds the same roots as scipy's integrator;
+the tests keep that integrator and scipy's brentq as the oracles.  No
+scipy module is imported.  It is not symplectic on purpose: runs are
 short and the four conserved quantities give a sharper correctness
 signal than long-time energy behavior would.
 
@@ -41,9 +42,11 @@ state inside the chart.
 
 import cmath
 import functools
+import importlib.util
 import math
 import numbers
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -67,14 +70,19 @@ def _tableau():
 
     (A, B, E3, E5, A_EXTRA, D): stages 1..11, the solution weights, the two
     error estimators, the three extra stages of the dense output and its
-    four interpolation rows.  Read from scipy on the first solve.
+    four interpolation rows.  Read on the first solve from scipy's
+    `integrate/_ivp/dop853_coefficients.py`, executed by file path: it
+    imports numpy only, so scipy.integrate's package never loads.
     """
-    from scipy.integrate._ivp import dop853_coefficients as dop
-    n = dop.N_STAGES
-    return (tuple(_sparse(dop.A[s, :s]) for s in range(1, n)),
-            _sparse(dop.B), _sparse(dop.E3), _sparse(dop.E5),
-            tuple(_sparse(dop.A[s, :s]) for s in range(n + 1, dop.N_STAGES_EXTENDED)),
-            tuple(_sparse(row) for row in dop.D))
+    import runpy  # here, not at module level: `import koenigs` stays without it
+
+    scipy_dir = Path(importlib.util.find_spec("scipy").origin).parent
+    dop = runpy.run_path(str(scipy_dir / "integrate" / "_ivp" / "dop853_coefficients.py"))
+    n, A = dop["N_STAGES"], dop["A"]
+    return (tuple(_sparse(A[s, :s]) for s in range(1, n)),
+            _sparse(dop["B"]), _sparse(dop["E3"]), _sparse(dop["E5"]),
+            tuple(_sparse(A[s, :s]) for s in range(n + 1, dop["N_STAGES_EXTENDED"])),
+            tuple(_sparse(row) for row in dop["D"]))
 
 
 @functools.cache
@@ -129,8 +137,68 @@ def _step_functions():
 
 # scipy's controller constants; the error estimator has order 7
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
-# brentq's xtol = rtol in scipy's event root search
-_ROOT_TOL = 4.0 * np.finfo(float).eps
+# xtol = rtol of scipy's event root search, and the default rtol of brentq
+_ROOT_TOL = 4.0 * math.ulp(1.0)
+# scipy's tolerance floor: below it solve_ivp raises rtol to 100 eps
+_TOL_FLOOR = 100.0 * math.ulp(1.0)
+
+
+def _brentq(f, a, b, xtol, rtol=_ROOT_TOL):
+    """Root of f in [a, b] by Brent's method, the float scipy.optimize.brentq returns.
+
+    A line-for-line port of scipy's brentq.c (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4): the same bracket swap,
+    interpolate/extrapolate/bisect test and minimum step `delta`, so the
+    same arithmetic in the same order.  ValueError when f(a) and f(b) have
+    the same sign or f is NaN, RuntimeError after 100 iterations.
+    """
+    def value(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3.0 * abs(sbis) - delta  # C's MIN(|spre|, bound), also on a NaN
+            if 2.0 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"brentq failed to converge after 100 iterations, value is {xcur!r}")
 
 
 @dataclass(frozen=True)
@@ -262,12 +330,15 @@ def _solve(model, initial, t_end, tol, samples, stop=None):
     `stop(y)` is an optional extra terminal event on (q1, q2, p1), caught
     on a downward zero crossing like the edge events; `hit` is (t, state)
     where it fired, or None.  Events are found as scipy finds them: a
-    sign change between accepted steps, then brentq on the interpolant.
+    sign change between accepted steps, then `_brentq` on the interpolant.
     """
     check_chart(model, initial.q1)
     if not (0.0 < tol < math.inf and 0.0 < t_end < math.inf):
         raise StepFailure(f"integration span and tolerance must be positive and finite, "
                           f"got {t_end}, {tol}")
+    if tol < _TOL_FLOOR:
+        raise StepFailure(f"tolerance {tol!r} is below 100 eps = {_TOL_FLOOR!r}, where DOP853's "
+                          f"steps are lost to rounding")
     if not (isinstance(samples, numbers.Integral) and samples >= 0):
         raise DomainError(f"need a whole number of samples >= 0, got samples={samples!r}")
     lo, hi = FAMILY[model.family].chart(model.rho)
@@ -298,15 +369,13 @@ def _solve(model, initial, t_end, tol, samples, stop=None):
                           solver.nfev, solver.accepted, solver.rejected)
 
     def root(i, sol):
-        from scipy.optimize import brentq
-
         def gap(s):
             nonlocal inside
             z = sol(s)
             if i < n_edge and lo < z[0] < hi:
                 inside = (s, z)
             return gaps[i](z)
-        return brentq(gap, solver.t_old, solver.t, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+        return _brentq(gap, solver.t_old, solver.t, _ROOT_TOL)
 
     while solver.t < t_end:
         if not solver.step():
@@ -366,7 +435,8 @@ def integrate(model, initial, t_end, tol=1e-10, samples=400):
     is approached within 1e-9, or if the solver gives up within 1e-6 of
     one, and StepFailure if it gives up elsewhere; either message names t,
     the step size and the chart margin.  A t_end or tol that is not
-    positive and finite is a StepFailure before any step.  `samples`, a
+    positive and finite, or a tol below 100 eps (the floor where scipy
+    raises its rtol), is a StepFailure before any step.  `samples`, a
     whole number >= 0 (else DomainError), fixes the output grid; samples=0
     returns the solver's own accepted steps.  The trajectory
     counts the right-hand side evaluations (`nfev`) and the `accepted`

@@ -287,9 +287,13 @@ def _classify_affine(model, E, L):
 def classify(model, E, L):
     """Geodesic regime of (model, E, L); L > 0 by convention.
 
+    DomainError, on every family, when E or L is not finite or L <= 0.
+
     Equality sub-cases (E=0, xi=-L^2, eta=e^{-theta}, 2E=xi, 2*rho*E=L^2,
     2*rho*E=xi, circular orbits) trigger at relative tolerance 1e-12.
     """
+    if not (math.isfinite(E) and math.isfinite(L)):
+        raise DomainError(f"classification needs finite E and L, got E={E}, L={L}")
     if L <= 0.0:
         raise DomainError(f"classification assumes L > 0, got L={L}")
     fam = model.family

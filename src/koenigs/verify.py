@@ -28,7 +28,7 @@ from . import actions as actions_mod
 from . import quantum as quantum_mod
 from . import specfun as specfun_mod
 from .errors import BoundaryReached, KoenigsError, NoMotion
-from .flow import drift_report, integrate
+from .flow import _brentq, drift_report, integrate
 from .geodesics import classify, curve_residual, radial_momentum_sq, start_point
 from .invariants import _bracket, _gradients, algebra_residuals, conserved_set
 from .models import (
@@ -263,8 +263,6 @@ def _check_trig_eigen(rng):
 # -- geodesics ----------------------------------------------------------------
 
 def _check_turnings_vs_bisection(rng):
-    from scipy.optimize import brentq
-
     worst = 0.0
     for case in REGIME_CASES:
         family, _, _, E, L, _ = case
@@ -284,7 +282,7 @@ def _check_turnings_vs_bisection(rng):
                     lo_q = max(lo_q, 1e-12)
                 try:
                     if f(lo_q) * f(hi_q) < 0.0:
-                        root = brentq(f, lo_q, hi_q, xtol=1e-14)
+                        root = _brentq(f, lo_q, hi_q, 1e-14)
                         break
                 except ValueError:
                     continue
@@ -294,7 +292,7 @@ def _check_turnings_vs_bisection(rng):
                 lo_q = t_pt - 1e-3 * max(1.0, abs(t_pt))
                 hi_q = t_pt + 1e-3 * max(1.0, abs(t_pt))
                 if df(lo_q) * df(hi_q) < 0.0:
-                    root = brentq(df, lo_q, hi_q, xtol=1e-14)
+                    root = _brentq(df, lo_q, hi_q, 1e-14)
             if root is None:
                 raise AssertionError(f"no bracket at turning {t_pt:.6f} of {regime.tag}")
             worst = max(worst, abs(root - t_pt))
@@ -667,8 +665,6 @@ def _check_ebk_vs_eigensolve(rng):
     # sets the bracket's lower end; the upper end moves halfway to the edge
     # until the sign changes, and a trial where the quadrature raises has not
     # changed it yet
-    from scipy.optimize import brentq
-
     worst = 0.0
     for fam, rho, xi in (("h0", 0.8, 1.1), ("h0", 0.339, 37.36), ("hplus", 2.0, 31.75), ("hplus", 0.5, 7.75)):
         model = make_model(fam, rho, xi)
@@ -694,15 +690,16 @@ def _check_ebk_vs_eigensolve(rng):
                     pass
             else:
                 raise AssertionError(f"{fam} J~={lv.J_tilde}: no sign change below the edge {edge:.10g}")
-            E = brentq(excess, lo, hi, xtol=1e-14)
+            E = _brentq(excess, lo, hi, 1e-14)
             worst = max(worst, abs(E - solved[lv.m][lv.n]))
     return worst
 
 
 def _check_norms_finite(rng):
-    # share of the norm in the outer tenth of the grid; scipy's trapezoid,
-    # since np.trapezoid needs numpy >= 2.0
-    from scipy.integrate import trapezoid
+    # share of the norm in the outer tenth of the grid, by scipy's 1-D
+    # trapezoid sum (np.trapezoid needs numpy >= 2.0)
+    def trapezoid(y, x):
+        return (np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum()
 
     worst = 0.0
     for fam, rho, xi in (("h0", 0.8, 1.1), ("hplus", 0.5, 7.75)):

@@ -102,6 +102,26 @@ def test_domain_error_is_usage_error(capsys):
     assert "rho" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--E", "nan"), ("--E", "inf"), ("--L", "nan"), ("--L", "-inf")])
+def test_non_finite_energy_or_momentum_is_a_domain_error(capsys, flag, value):
+    # --L=-inf: argparse reads a bare -inf as a flag
+    values = {"--E": "0.5", "--L": "0.5", flag: value}
+    code, out, err = run_cli(capsys, "classify", "--family", "h0", "--rho", "0.8", "--xi", "1.1",
+                             *(f"{name}={text}" for name, text in values.items()))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: DomainError: classification needs finite E and L")
+
+
+def test_flow_tolerance_below_the_floor_is_a_step_failure(capsys):
+    # 1e-300 used to end in an OverflowError traceback
+    code, out, err = run_cli(capsys, "flow", "--family", "hplus", "--rho", "2.0", "--xi", "8.0",
+                             "--E", "1.8", "--L", "1.0", "--tol", "1e-300")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: StepFailure: tolerance 1e-300 is below 100 eps")
+
+
 @pytest.mark.parametrize("tol", ["fast", "nan", "inf", "0", "-1"])
 def test_bad_tol_is_usage_error(capsys, tol):
     code, out, err = run_cli(

@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as dop
+from scipy.optimize import brentq
 
 from koenigs import flow
 from koenigs.errors import BoundaryReached, ChartError, DomainError, NotBounded, StepFailure
@@ -19,7 +21,7 @@ from koenigs.models import (
     make_model,
     make_point,
 )
-from koenigs.verify import REGIME_CASES, _VERIFY_MODELS, _random_points, _regime, flow_span
+from koenigs.verify import REGIME_CASES, _VERIFY_MODELS, _random_points, _regime, _window, flow_span
 
 
 def test_drift_small_on_long_bounded_run(h0_model):
@@ -141,6 +143,15 @@ def test_span_and_tolerance_must_be_positive_and_finite(h0_model, t_end, tol):
         integrate(h0_model, start, t_end, tol=tol, samples=0)
 
 
+@pytest.mark.parametrize("tol", [1e-100, 1e-200])
+def test_tolerance_below_the_floor_is_refused(h0_model, tol):
+    # 1e-100 stepped on for over a minute; 1e-200 overflowed in the initial
+    # step's (v / s) ** 2
+    start = start_point(classify(h0_model, 0.5, 0.5))
+    with pytest.raises(StepFailure, match="below 100 eps"):
+        integrate(h0_model, start, 30.0, tol=tol, samples=0)
+
+
 @pytest.mark.parametrize("samples", [-1, 2.5, 50.0, "50", None])
 def test_samples_must_be_a_whole_count(h0_model, samples):
     start = start_point(classify(h0_model, 0.5, 0.5))
@@ -224,6 +235,92 @@ def test_edge_time_matches_solve_ivp(name):
         assert abs(chart_margin(model, sol.y[0, -1])) < 1e-6
         t_end = sol.t[-1]
     assert abs(excinfo.value.t - t_end) <= 1e-12
+
+
+def test_tableau_is_scipys_sparse_rows():
+    # the coefficient file executed by path against scipy's imported module
+    sparse, n = flow._sparse, dop.N_STAGES
+    want = (tuple(sparse(dop.A[s, :s]) for s in range(1, n)),
+            sparse(dop.B), sparse(dop.E3), sparse(dop.E5),
+            tuple(sparse(dop.A[s, :s]) for s in range(n + 1, dop.N_STAGES_EXTENDED)),
+            tuple(sparse(row) for row in dop.D))
+    assert flow._tableau() == want
+
+
+def test_brentq_matches_scipy_on_seeded_brackets():
+    # sign-changing brackets of seeded degree-7 polynomials, at the flow's
+    # tolerances, verify's and the tightest xtol: the same float every time
+    rng = np.random.default_rng(29)
+    tols = [(flow._ROOT_TOL, flow._ROOT_TOL), (1e-14, flow._ROOT_TOL),
+            (5e-324, flow._ROOT_TOL), (2e-12, 1e-10)]
+    checked = 0
+    while checked < 2400:
+        coef = rng.normal(size=8).tolist()
+
+        def poly(x):
+            v = 0.0
+            for c in coef:
+                v = v * x + c
+            return v
+        xs = np.sort(rng.uniform(-3.0, 3.0, 16)).tolist()
+        for a, b in zip(xs, xs[1:]):
+            if (poly(a) < 0.0) != (poly(b) < 0.0):
+                xtol, rtol = tols[checked % len(tols)]
+                assert flow._brentq(poly, a, b, xtol, rtol) == brentq(poly, a, b, xtol=xtol, rtol=rtol)
+                checked += 1
+
+
+def test_brentq_matches_scipy_on_every_event_root(monkeypatch):
+    # every event root search of the edge runs and of seeded closure tests
+    # across both closed windows: scipy's brentq finds the same float
+    roots = []
+    search = flow._brentq
+
+    def both(f, a, b, xtol, rtol=flow._ROOT_TOL):
+        roots.append((search(f, a, b, xtol, rtol), brentq(f, a, b, xtol=xtol, rtol=rtol)))
+        return roots[-1][0]
+    monkeypatch.setattr(flow, "_brentq", both)
+    for name in ["trig-e0_arcs-8x", "hminus-fall", *(f"hminus-fall{k:+d}ulp" for k in range(-6, 7) if k)]:
+        model, start, span, tol = _edge_run(name)
+        with pytest.raises(BoundaryReached):
+            integrate(model, start, span, tol=tol, samples=0)
+    rng = np.random.default_rng(29)
+    for family, rho, xi in (("h0", 0.8, 1.1), ("hplus", 2.0, 8.0)):
+        model = make_model(family, rho, xi)
+        for L in rng.uniform(0.3, 1.2, 32).tolist():
+            e_plus, edge = _window(model, L)
+            E = e_plus + rng.uniform(0.05, 0.95) * (edge - e_plus)
+            closure_test(model, E, L, tol=1e-5)
+    assert len(roots) > 60
+    assert all(type(ours) is float and ours == theirs for ours, theirs in roots)
+
+
+@pytest.mark.parametrize("fa, fb", [(1.0, 2.0), (-1.0, -2.0), (1e-200, 2e-200)])
+def test_brentq_refuses_a_bracket_without_a_sign_change(fa, fb):
+    # f(a) f(b) underflows to 0 on the last pair, and the signs still agree
+    def f(x):
+        return fa if x < 0.5 else fb
+    for search in (lambda: flow._brentq(f, 0.0, 1.0, 1e-14), lambda: brentq(f, 0.0, 1.0, xtol=1e-14)):
+        with pytest.raises(ValueError, match="different signs"):
+            search()
+
+
+def test_brentq_gives_up_after_100_iterations():
+    # a step function takes only bisection steps: about 2100 of them
+    # from 1e300 wide down to xtol = 5e-324
+    def step(x):
+        return math.copysign(1.0, x - 0.1)
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        flow._brentq(step, -1e300, 1e300, 5e-324)
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        brentq(step, -1e300, 1e300, xtol=5e-324)
+
+
+def test_brentq_refuses_a_nan_value():
+    def f(x):
+        return math.nan if x > 0.5 else x - 0.3
+    with pytest.raises(ValueError, match="NaN"):
+        flow._brentq(f, 0.0, 1.0, 1e-14)
 
 
 def _stage(row, K):

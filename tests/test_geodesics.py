@@ -193,6 +193,18 @@ def test_closed_families_seeded_sweep():
             assert curve_residual(regime, start_point(regime)) < 1e-9
 
 
+@pytest.mark.parametrize("family, rho, xi", [("trig", 0.5, 0.8), ("h0", 0.8, 1.1), ("hplus", 2.0, 8.0),
+                                             ("hminus", 0.6, 0.9), ("affine", 1.2, 1.0)])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["E", "L"])
+def test_classify_refuses_a_non_finite_energy_or_momentum(family, rho, xi, value, name):
+    # L = nan used to pass the L <= 0 test: h0 returned a closed regime with
+    # NaN turning points, trig and affine tagged E = nan epos_full and ellipse
+    args = {"E": 0.5, "L": 0.5, name: value}
+    with pytest.raises(DomainError, match=rf"{name}={value}"):
+        classify(make_model(family, rho, xi), **args)
+
+
 def test_curve_residual_rejects_points_outside_domain():
     model = make_model("h0", 0.8, 1.1)
     regime = classify(model, 0.5, 0.5)

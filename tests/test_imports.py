@@ -1,7 +1,10 @@
-"""Import traffic: scipy loads at the first call that needs it, not at import.
+"""Import traffic: only the eigensolve loads scipy, and only scipy.linalg.
 
-Each case runs in a fresh interpreter, since this process has scipy loaded
-already (the flow oracle tests import solve_ivp).
+The flow reads scipy's DOP853 tableau by file path and finds its event
+roots with its own port of brentq, so integration, the CLI and the verify
+rows outside the eigensolve load no scipy module.  Each case runs in a
+fresh interpreter, since this process has scipy loaded already (the flow
+oracle tests import solve_ivp).
 """
 
 import json
@@ -9,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import koenigs
 
@@ -51,6 +56,35 @@ main(["classify", "--family", "h0", "--rho", "0.8", "--xi", "1.1",
       "--E", "0.5", "--L", "0.5", "--format", "json"])
 """
     assert _scipy_modules_after(code) == []
+
+
+_FLOW = "import koenigs\nfrom koenigs import classify, integrate, make_model, start_point\n"
+_CLI = "from koenigs.cli import main\nassert main({argv!r}) == 0"
+
+
+@pytest.mark.parametrize("code", [
+    # a closed orbit, no event
+    _FLOW + "m = make_model('h0', 0.8, 1.1)\nintegrate(m, start_point(classify(m, 0.5, 0.5)), 30.0)",
+    # zero-energy arcs run into the chart edge: an event root search
+    _FLOW + "m = make_model('trig', 0.5, -0.5)\n"
+            "try:\n    integrate(m, start_point(classify(m, 0.0, 1.0)), 50.0)\n"
+            "except koenigs.BoundaryReached:\n    pass\nelse:\n    raise SystemExit('no edge')",
+    _FLOW + "koenigs.closure_test(make_model('hplus', 2.0, 8.0), 1.8, 1.0)",
+    _CLI.format(argv=["flow", "--family", "hplus", "--rho", "2.0", "--xi", "8.0", "--E", "1.8", "--L", "1.0"]),
+    _CLI.format(argv=["geodesic", "--family", "trig", "--rho", "0.5", "--xi", "0.8", "--E", "1.0", "--L", "1.0"]),
+    _CLI.format(argv=["figures", "--out", "{out}"]),
+    "from koenigs.verify import run_suite\nassert {r.status for r in run_suite('geodesics')} == {'PASS'}",
+    "from koenigs.verify import run_suite\nassert {r.status for r in run_suite('cli')} == {'PASS'}",
+], ids=["integrate", "integrate-to-edge", "closure_test", "cli-flow", "cli-geodesic", "cli-figures",
+        "suite-geodesics", "suite-cli"])
+def test_flow_cli_and_verify_load_no_scipy(tmp_path, code):
+    assert _scipy_modules_after(code.replace("{out}", str(tmp_path / "figs"))) == []
+
+
+def test_full_suite_loads_linalg_only():
+    loaded = _scipy_modules_after("from koenigs.verify import run_suite\nrun_suite()")
+    assert "scipy.linalg" in loaded
+    assert not any(m.startswith(("scipy.integrate", "scipy.optimize")) for m in loaded)
 
 
 def test_eigensolve_loads_linalg_only():
