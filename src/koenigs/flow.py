@@ -72,12 +72,20 @@ def _tableau():
     error estimators, the three extra stages of the dense output and its
     four interpolation rows.  Read on the first solve from scipy's
     `integrate/_ivp/dop853_coefficients.py`, executed by file path: it
-    imports numpy only, so scipy.integrate's package never loads.
+    imports numpy only, so scipy.integrate's package never loads.  So the
+    flow needs a scipy installed with its source files; ImportError naming
+    the file when there is none.
     """
     import runpy  # here, not at module level: `import koenigs` stays without it
 
-    scipy_dir = Path(importlib.util.find_spec("scipy").origin).parent
-    dop = runpy.run_path(str(scipy_dir / "integrate" / "_ivp" / "dop853_coefficients.py"))
+    spec = importlib.util.find_spec("scipy")
+    path = None
+    if spec is not None and spec.origin is not None:
+        path = Path(spec.origin).parent / "integrate" / "_ivp" / "dop853_coefficients.py"
+    if path is None or not path.is_file():
+        raise ImportError("the flow reads DOP853's tableau from scipy's source file "
+                          f"integrate/_ivp/dop853_coefficients.py, not found (looked for {path})")
+    dop = runpy.run_path(str(path))
     n, A = dop["N_STAGES"], dop["A"]
     return (tuple(_sparse(A[s, :s]) for s in range(1, n)),
             _sparse(dop["B"]), _sparse(dop["E3"]), _sparse(dop["E5"]),
@@ -137,20 +145,21 @@ def _step_functions():
 
 # scipy's controller constants; the error estimator has order 7
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
-# xtol = rtol of scipy's event root search, and the default rtol of brentq
+# xtol of scipy's event root search, and the rtol of brentq (scipy's default)
 _ROOT_TOL = 4.0 * math.ulp(1.0)
 # scipy's tolerance floor: below it solve_ivp raises rtol to 100 eps
 _TOL_FLOOR = 100.0 * math.ulp(1.0)
 
 
-def _brentq(f, a, b, xtol, rtol=_ROOT_TOL):
+def _brentq(f, a, b, xtol):
     """Root of f in [a, b] by Brent's method, the float scipy.optimize.brentq returns.
 
     A line-for-line port of scipy's brentq.c (Brent, Algorithms for
     Minimization without Derivatives, 1973, ch. 4): the same bracket swap,
     interpolate/extrapolate/bisect test and minimum step `delta`, so the
-    same arithmetic in the same order.  ValueError when f(a) and f(b) have
-    the same sign or f is NaN, RuntimeError after 100 iterations.
+    same arithmetic in the same order, at scipy's default rtol `_ROOT_TOL`.
+    ValueError when f(a) and f(b) have the same sign or f is NaN,
+    RuntimeError after 100 iterations.
     """
     def value(x):
         fx = float(f(x))
@@ -174,7 +183,7 @@ def _brentq(f, a, b, xtol, rtol=_ROOT_TOL):
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
+        delta = (xtol + _ROOT_TOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur

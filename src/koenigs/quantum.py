@@ -18,10 +18,9 @@ solves -(p y')' + V y = E w y with
 indexed by node counts, its domain sized by a Sturm count on a coarse grid;
 `count_bound_levels` counts the HypPlus levels by one Sturm count, and the
 eigenfunction residual applies the flux form on a fine grid, its
-coefficients read from one table per (model, step), grown by its new
-points only.  None consults the closed forms.  The solve and the count
-load scipy.linalg at their first call, the package's only scipy import;
-the rest needs numpy only.
+coefficients read from one table per (model, step).  None consults the
+closed forms.  The solve and the count load scipy.linalg at their first
+call, the package's only scipy import; the rest needs numpy only.
 """
 
 import functools
@@ -424,20 +423,15 @@ def _coefficient_table(model, h, n):
     Point j sits at q = (j + 2) h, its face at q + h/2; the rows are
     `_flux_p` and `_flux_coefficients(model, 0, .)` there, which hold no
     mode or level.  The table is the one entry of `_COEFFICIENTS`, kept
-    while calls on the same (model, h) need no longer grid.  A longer grid
-    on the same (model, h) copies the old columns and builds only the new
-    ones; another (model, h) starts afresh.  Columns are built in `_BLOCK`
-    stretches so that no temporary outgrows one.  Read-only.
+    while calls on the same (model, h) need no longer grid, else rebuilt
+    in `_BLOCK` stretches so that no temporary outgrows one.  Read-only.
     """
     key = (model, h)
     table = _COEFFICIENTS.get(key)
-    built = 0 if table is None else table.shape[1]
-    if built < n:
+    if table is None or table.shape[1] < n:
         _COEFFICIENTS.clear()
-        old, table = table, np.empty((4, n))
-        if built:
-            table[:, :built] = old
-        for lo in range(built, n, _BLOCK):
+        table = np.empty((4, n))
+        for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             q = h * np.arange(lo + 2, hi + 2)
             table[0, lo:hi] = _flux_p(model, q + 0.5 * h)

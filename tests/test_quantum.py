@@ -663,35 +663,6 @@ def test_coefficient_table_regrows_for_a_longer_grid(monkeypatch):
     assert quantum._COEFFICIENTS[(model, 1e-3)] is long
 
 
-def test_coefficient_table_regrow_builds_only_the_new_points(monkeypatch):
-    monkeypatch.setattr(quantum, "_COEFFICIENTS", {})
-    model, h = make_model("h0", 1.0, 8.0), 1e-3
-    schrodinger_residual(model, _level(model, 0, 0))
-    short = quantum._COEFFICIENTS[(model, h)].shape[1]
-    seen = {"faces": [], "points": []}
-    flux_p, flux_coefficients = quantum._flux_p, quantum._flux_coefficients
-
-    def faces(model, x):
-        seen["faces"].append(x)
-        return flux_p(model, x)
-
-    def points(model, m, x):
-        seen["points"].append(x)
-        return flux_coefficients(model, m, x)
-    monkeypatch.setattr(quantum, "_flux_p", faces)
-    monkeypatch.setattr(quantum, "_flux_coefficients", points)
-    schrodinger_residual(model, _level(model, 3, 1))
-    regrown = quantum._COEFFICIENTS[(model, h)]
-    q = h * np.arange(short + 2, regrown.shape[1] + 2)
-    assert len(q) > 0
-    assert np.array_equal(np.concatenate(seen["faces"]), q + 0.5 * h)
-    assert np.array_equal(np.concatenate(seen["points"]), q)
-    assert not regrown.flags.writeable
-    # bit-identical to the table one pass builds after the cache is cleared
-    monkeypatch.setattr(quantum, "_COEFFICIENTS", {})
-    assert np.array_equal(quantum._coefficient_table(model, h, regrown.shape[1]), regrown)
-
-
 def test_coefficient_table_holds_no_mode_or_level(monkeypatch):
     model = make_model("h0", 1.0, 8.0)
     m2 = _level(model, 1, 2)
