@@ -19,13 +19,19 @@ indexed by node counts, its domain sized by a Sturm count on a coarse grid;
 `count_bound_levels` counts the HypPlus levels by one Sturm count, and the
 eigenfunction residual applies the flux form on a fine grid, its
 coefficients read from one table per (model, step).  None consults the
-closed forms.  The solve and the count load scipy.linalg at their first
-call, the package's only scipy import; the rest needs numpy only.
+closed forms.  The solve and the count call LAPACK's dgeev and dstebz in
+scipy's f2py extension `scipy/linalg/_flapack`, loaded by file path at
+their first call, the package's only scipy import: scipy.linalg's package
+never loads, and the rest needs numpy only.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -167,12 +173,73 @@ def _flux_matrix(model, m, x_max, h):
     return diag, off, p[-1] / (h**2 * w[-1])
 
 
-def _eigenvalues(model, m, x_max, h, **select):
-    """Selected eigenvalues of `_flux_matrix`, bisected by LAPACK with Sturm counts."""
-    from scipy.linalg import eigh_tridiagonal
+_FLAPACK = "scipy.linalg._flapack"
 
+
+def _lapack():
+    """scipy's f2py LAPACK extension, `scipy/linalg/_flapack<suffix>`, loaded by file path.
+
+    `import scipy` sets up the OpenBLAS that scipy bundles; the extension
+    itself imports numpy only, so scipy.linalg's package, over 300 modules,
+    never loads.  It goes into sys.modules under its own name, so a later
+    `import scipy.linalg` reuses it, and is reused when that package loaded
+    it first.  ImportError naming the file when there is none.
+    """
+    lapack = sys.modules.get(_FLAPACK)
+    if lapack is None:
+        import scipy
+
+        path = (Path(scipy.__file__).parent / "linalg"
+                / f"_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}")
+        if not path.is_file():
+            raise ImportError("the eigensolve calls LAPACK in scipy's extension "
+                              f"linalg/_flapack, not found (looked for {path})")
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        lapack = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(lapack)
+        sys.modules[_FLAPACK] = lapack
+    return lapack
+
+
+def _call_lapack(routine, size, *args, **options):
+    """Outputs of `routine` of `_lapack` on args, less the last one, LAPACK's info.
+
+    ConvergenceFailure naming the routine, size and info when info is not 0.
+    """
+    *out, info = getattr(_lapack(), routine)(*args, **options)
+    if info:
+        raise ConvergenceFailure(f"LAPACK {routine} failed on {size} (info {info})")
+    return out
+
+
+def _stebz(diag, off, select, vl, vu, il, iu, tol):
+    """Eigenvalues of the symmetric tridiagonal (diag, off) by LAPACK dstebz, ascending.
+
+    Bisection with Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9,
+    386 (1967)) of those in (vl, vu] for select 1, of numbers il..iu from 1
+    for select 2, each to tol, 0 for dstebz's own; scipy's eigh_tridiagonal
+    calls it so.  DomainError when an entry is not finite, where bisection
+    would count garbage.
+    """
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise DomainError(f"the flux matrix on {len(diag)} cells is not finite: "
+                          "the model's scales overflow")
+    m, w, _, _ = _call_lapack("dstebz", f"{len(diag)} cells", diag, off, select,
+                              vl, vu, il, iu, tol, "E")
+    return w[:m]
+
+
+def _eigenvalues(model, m, x_max, h, select, select_range, tol=0.0):
+    """Eigenvalues of `_flux_matrix`, selected as by scipy's eigh_tridiagonal.
+
+    select "i" takes numbers select_range[0]..[1] from 0, else ("v") the
+    values in (select_range[0], select_range[1]]; bisected to tol by `_stebz`.
+    """
     diag, off, _ = _flux_matrix(model, m, x_max, h)
-    return eigh_tridiagonal(diag, off, eigvals_only=True, **select)
+    low, high = select_range
+    if select == "i":
+        return _stebz(diag, off, 2, 0.0, 1.0, low + 1, high + 1, tol)
+    return _stebz(diag, off, 1, low, high, 1, 1, tol)
 
 
 def _decay_length(model, E, depth=1.0):
@@ -249,6 +316,21 @@ def _collocation(model, m, L, N):
     return A
 
 
+def _collocation_spectrum(model, m, L, N, vectors):
+    """Eigenvalues of `_collocation` and, with vectors, its right eigenvectors, by LAPACK dgeev.
+
+    The call is scipy.linalg.eig's, the matrix overwritten, but vr comes as
+    dgeev returns it: a real eigenvalue's eigenvector is its own column of
+    vr, a complex pair's shares two.  Without vectors vr is a placeholder.
+    """
+    A = _collocation(model, m, L, N)
+    size = f"collocation N {N}"
+    work, = _call_lapack("dgeev_lwork", size, len(A), compute_vl=0, compute_vr=vectors)
+    wr, wi, _, vr = _call_lapack("dgeev", size, A, compute_vl=0, compute_vr=vectors,
+                                 lwork=int(work.real), overwrite_a=1)
+    return wr + 1j * wi, vr
+
+
 def _collocation_levels(model, m, k, top):
     """Levels 0..k up the N ladder, indexed by their node counts, and why they fail.
 
@@ -262,17 +344,16 @@ def _collocation_levels(model, m, k, top):
     an eigenvalue of the size before; until a size indexes them all, the
     levels are search level k alone.
     """
-    # scipy's LAPACK, as for the Sturm counts: numpy's would add 0.7 MB of buffers
-    from scipy.linalg import eig, eigvals
-
+    # dgeev from scipy's extension, as for the Sturm counts: numpy.linalg's
+    # would add 0.7 MB of buffers
     L = _decay_length(model, top, 1.0 / 18.0)
     edge, nodes, levels = _edge(model), np.arange(k + 1)[:, None], np.array([top])
-    last = eigvals(_collocation(model, m, L, _LADDER[0]), overwrite_a=True, check_finite=False)
+    last, _ = _collocation_spectrum(model, m, L, _LADDER[0], vectors=False)
     for before, N in zip(_LADDER, _LADDER[1:]):
-        found, u = eig(_collocation(model, m, L, N), overwrite_a=True, check_finite=False)
+        found, u = _collocation_spectrum(model, m, L, N, vectors=True)
         bound = np.flatnonzero((found.imag == 0.0) & (found.real < edge))
         bound = bound[np.argsort(found.real[bound])]
-        E, u = found.real[bound], u[:, bound].real
+        E, u = found.real[bound], u[:, bound]
         # signs with the small entries zeroed, each zero then given the sign before it
         sign = np.sign(u) * (np.abs(u) >= 1e-6 * np.abs(u).max(axis=0))
         row = np.maximum.accumulate(np.where(sign != 0.0, np.arange(len(u))[:, None], 0), axis=0)
@@ -386,8 +467,6 @@ def count_bound_levels(model, m):
     _require_quantum(model)
     if model.family == "h0":
         raise DomainError("the Hyp0 well is infinitely deep; the count diverges")
-    from scipy.linalg import eigh_tridiagonal
-
     m = abs(_integer("m", m))
     probe = _edge(model) * (1.0 - 1e-6)
     h = _H_COUNT
@@ -397,8 +476,7 @@ def count_bound_levels(model, m):
     # positive definite for xi > 0, so (-1, probe] holds every level below the
     # probe; a bisection tolerance of the interval's width counts by Sturm
     # sequences without refining any eigenvalue
-    return len(eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
-                                select_range=(-1.0, probe), tol=probe + 1.0))
+    return len(_stebz(diag, off, 1, -1.0, probe, 1, 1, probe + 1.0))
 
 
 # -- residuals ---------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Import traffic: only the eigensolve loads scipy, and only scipy.linalg.
+"""Import traffic: only the eigensolve loads scipy, and of scipy.linalg only _flapack.
 
 The flow reads scipy's DOP853 tableau by file path and finds its event
 roots with its own port of brentq, so integration, the CLI and the verify
-rows outside the eigensolve load no scipy module.  Each case runs in a
-fresh interpreter, since this process has scipy loaded already (the flow
-oracle tests import solve_ivp).
+rows outside the eigensolve load no scipy module.  The eigensolve loads
+scipy's f2py LAPACK extension, scipy/linalg/_flapack, by file path and
+calls dgeev and dstebz in it, so scipy.linalg's package never loads.
+Each case runs in a fresh interpreter, since this process has scipy
+loaded already (the flow oracle tests import solve_ivp).
 """
 
 import json
@@ -81,18 +83,46 @@ def test_flow_cli_and_verify_load_no_scipy(tmp_path, code):
     assert _scipy_modules_after(code.replace("{out}", str(tmp_path / "figs"))) == []
 
 
+def _linalg(loaded):
+    return [m for m in loaded if m == "scipy.linalg" or m.startswith("scipy.linalg.")]
+
+
 def test_full_suite_loads_linalg_only():
     loaded = _scipy_modules_after("from koenigs.verify import run_suite\nrun_suite()")
-    assert "scipy.linalg" in loaded
+    assert _linalg(loaded) == ["scipy.linalg._flapack"]
     assert not any(m.startswith(("scipy.integrate", "scipy.optimize")) for m in loaded)
 
 
 def test_eigensolve_loads_linalg_only():
     loaded = _scipy_modules_after(
         "import koenigs\n"
-        "koenigs.shoot_eigenvalue(koenigs.make_model('h0', 0.8, 1.1), 0, 0)")
-    assert "scipy.linalg" in loaded
+        "koenigs.shoot_eigenvalue(koenigs.make_model('h0', 0.8, 1.1), 0, 0)\n"
+        "koenigs.count_bound_levels(koenigs.make_model('hplus', 0.5, 7.75), 0)")
+    assert _linalg(loaded) == ["scipy.linalg._flapack"]
     assert not any(m.startswith(("scipy.integrate", "scipy.optimize")) for m in loaded)
+
+
+@pytest.mark.parametrize("first", ["loader", "scipy.linalg"])
+def test_scipy_linalg_and_the_loader_share_one_extension(first):
+    # either import order leaves one _flapack module, which scipy.linalg's
+    # LAPACK functions come from, and the same levels
+    code = f"""
+import json, sys
+import koenigs
+from koenigs import quantum
+model = koenigs.make_model("hplus", 0.5, 7.75)
+solve = lambda: [koenigs.shoot_eigenvalue(model, 0, 1), koenigs.count_bound_levels(model, 0)]
+levels = solve() if {first!r} == "loader" else None
+import scipy.linalg
+from scipy.linalg import _flapack
+levels = levels or solve()
+eig = scipy.linalg.eigh_tridiagonal([2.0, 2.0], [1.0], eigvals_only=True).tolist()
+print(json.dumps([quantum._lapack() is _flapack is sys.modules["scipy.linalg._flapack"],
+                  scipy.linalg.lapack.dgeev is _flapack.dgeev, repr(levels), eig]))
+"""
+    model = koenigs.make_model("hplus", 0.5, 7.75)
+    levels = [koenigs.shoot_eigenvalue(model, 0, 1), koenigs.count_bound_levels(model, 0)]
+    assert _fresh(code) == [True, True, repr(levels), [1.0, 3.0]]
 
 
 def test_flow_step_code_is_built_once_per_process():

@@ -165,17 +165,100 @@ def test_index_check_refuses_a_dropped_level(monkeypatch):
     # eigenvector changes sign once, and no other level stands in for it
     model = make_model("h0", 1.0, 8.0)
     missing = _closed_levels(model, 0)[1]
-    eig = scipy.linalg.eig
+    solve = quantum._collocation_spectrum
 
-    def dropping(a, **options):
-        found, vectors = eig(a, **options)
+    def dropping(model, m, L, N, vectors):
+        found, u = solve(model, m, L, N, vectors)
+        if not vectors:  # the first size's eigenvalues alone, which index nothing
+            return found, u
         j = np.argmin(np.abs(found - missing))
-        return np.delete(found, j), np.delete(vectors, j, axis=1)
+        return np.delete(found, j), np.delete(u, j, axis=1)
 
-    monkeypatch.setattr(scipy.linalg, "eig", dropping)
+    monkeypatch.setattr(quantum, "_collocation_spectrum", dropping)
     refused = r"level k=3, m=0: level 1 missing at N 401: no eigenvector has 1 sign changes"
     with pytest.raises(ConvergenceFailure, match=refused):
         quantum._solve_levels(model, 0, 3)
+
+
+@pytest.mark.parametrize("family, rho, xi", [("h0", 0.8, 1.1), ("hplus", 0.5, 7.75)])
+@pytest.mark.parametrize("N", [81, 121])
+def test_direct_dgeev_is_scipys_eig_to_the_bit(family, rho, xi, N):
+    # the direct call passes scipy.linalg.eig's arguments; a real
+    # eigenvalue's eigenvector is its own column of vr, as in eig's output
+    rng = np.random.default_rng(30)
+    model = make_model(family, rho, xi)
+    for _ in range(3):
+        m, L = int(rng.integers(0, 4)), float(rng.uniform(1.0, 8.0))
+        A = quantum._collocation(model, m, L, N)
+        found, vr = quantum._collocation_spectrum(model, m, L, N, vectors=True)
+        values, _ = quantum._collocation_spectrum(model, m, L, N, vectors=False)
+        w, u = scipy.linalg.eig(A)
+        real = w.imag == 0.0
+        assert found.tobytes() == w.tobytes()
+        assert vr[:, real].tobytes() == u[:, real].real.tobytes()
+        assert values.tobytes() == scipy.linalg.eigvals(A).tobytes()
+
+
+def test_direct_dstebz_is_scipys_eigh_tridiagonal_to_the_bit():
+    # by index and by value, at the search's and the count's tolerances and
+    # at dstebz's own, on seeded wells and grids
+    from scipy.linalg import eigh_tridiagonal
+
+    rng = np.random.default_rng(30)
+    for i in range(16):
+        family = ("h0", "hplus")[i % 2]
+        model = make_model(family, float(rng.uniform(0.3, 0.9)), float(rng.uniform(1.0, 30.0)))
+        m, h = int(rng.integers(0, 4)), (quantum._H_SEARCH, quantum._H_COUNT)[i // 2 % 2]
+        x_max = float(rng.uniform(5.0, 12.0))
+        diag, off, _ = quantum._flux_matrix(model, m, x_max, h)
+        k, high = int(rng.integers(0, 8)), quantum._edge(model) * float(rng.uniform(0.2, 1.0))
+        for tol in (0.0, 1e-6, high + 1.0):
+            for select, select_range in (("i", (k, k)), ("v", (0.0, high)), ("v", (-1.0, high))):
+                direct = quantum._eigenvalues(model, m, x_max, h, select, select_range, tol)
+                wrapped = eigh_tridiagonal(diag, off, eigvals_only=True, select=select,
+                                           select_range=select_range, tol=tol)
+                assert direct.tobytes() == wrapped.tobytes(), (i, tol, select)
+
+
+@pytest.mark.parametrize("routine, size, solve", [
+    ("dstebz", "2500 cells", lambda: count_bound_levels(make_model("hplus", 0.5, 7.75), 0)),
+    ("dstebz", "179 cells", lambda: shoot_eigenvalue(make_model("h0", 0.8, 1.1), 0, 0)),
+    ("dgeev_lwork", "collocation N 81", lambda: shoot_eigenvalue(make_model("h0", 0.8, 1.1), 0, 0)),
+    ("dgeev", "collocation N 81", lambda: shoot_eigenvalue(make_model("hplus", 0.5, 7.75), 0, 0)),
+], ids=["dstebz-count", "dstebz-search", "dgeev_lwork", "dgeev"])
+def test_lapack_failure_is_a_convergence_failure(monkeypatch, routine, size, solve):
+    # a nonzero info from any of the three routines names it, the size and info
+    lapack = quantum._lapack()
+    call = getattr(lapack, routine)
+
+    def failing(*args, **options):
+        return (*call(*args, **options)[:-1], 1)
+
+    monkeypatch.setattr(lapack, routine, failing)
+    monkeypatch.setattr(quantum, "_LEVELS", {})
+    with pytest.raises(ConvergenceFailure, match=rf"^LAPACK {routine} failed on {size} \(info 1\)$"):
+        solve()
+
+
+def test_overflowing_flux_matrix_is_a_domain_error():
+    # at rho = 1e300 the kernel overflows; bisecting the NaN entries would
+    # count no level at all
+    with np.errstate(all="ignore"):
+        with pytest.raises(DomainError, match="flux matrix on 2500 cells is not finite"):
+            count_bound_levels(make_model("hplus", 1e300, 1.0), 0)
+        with pytest.raises(DomainError, match="flux matrix on 179 cells is not finite"):
+            shoot_eigenvalue(make_model("h0", 1e300, 1.0), 0, 0)
+
+
+def test_lapack_loader_names_a_missing_extension(monkeypatch, tmp_path):
+    # a scipy without linalg/_flapack: the error names the file looked for
+    import scipy
+
+    monkeypatch.delitem(sys.modules, quantum._FLAPACK)
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    with pytest.raises(ImportError, match=r"linalg/_flapack, not found \(looked for .*_flapack\."):
+        quantum._lapack()
+    assert quantum._FLAPACK not in sys.modules
 
 
 def test_unsettled_ladder_names_the_sizes_and_their_disagreement(monkeypatch):
